@@ -273,7 +273,9 @@ void finish_telemetry(const Args& args) {
   }
 }
 
-/// Loads a design and prepares graph/delays/golden (hold optional).
+/// Loads a design and prepares graph/delays/golden (hold optional). The
+/// golden gets its clock analysis only, which is all an Engine is built
+/// from; commands that read golden arrivals or slacks run update_full().
 struct World {
   io::LoadedDesign loaded;
   std::unique_ptr<timing::TimingGraph> graph;
@@ -291,7 +293,7 @@ struct World {
     opt.enable_hold = hold;
     sta = std::make_unique<ref::GoldenSta>(*graph, loaded.constraints, delays,
                                            opt);
-    sta->update_full();
+    sta->update_clock();
   }
 };
 
@@ -321,6 +323,7 @@ int cmd_report(const Args& args) {
   util::check(args.has("in"), "report: --in is required");
   const bool hold = args.has("hold");
   World w(args.get("in", ""), hold);
+  w.sta->update_full();
   std::printf("design: %zu cells, %zu pins, %zu endpoints, period %.1f ps\n",
               w.loaded.design->num_cells(), w.loaded.design->num_pins(),
               w.graph->endpoints().size(), w.loaded.constraints.clock_period);
@@ -362,6 +365,7 @@ int cmd_size(const Args& args) {
   util::check(args.has("in") && args.has("out"),
               "size: --in and --out are required");
   World w(args.get("in", ""));
+  w.sta->update_full();
   const std::string method = args.get("method", "insta");
   size::SizerResult r;
   if (method == "insta") {
@@ -385,12 +389,13 @@ int cmd_size(const Args& args) {
 int cmd_buffer(const Args& args) {
   util::check(args.has("in") && args.has("out"),
               "buffer: --in and --out are required");
-  World w(args.get("in", ""));
-  size::InstaBuffer buffering(*w.loaded.design, w.loaded.constraints, {});
+  // InstaBuffer builds its own graph and golden, so only the design loads.
+  io::LoadedDesign loaded = io::load_design_file(args.get("in", ""));
+  size::InstaBuffer buffering(*loaded.design, loaded.constraints, {});
   const size::BufferResult r = buffering.run();
   std::printf("INSTA-Buffer: TNS %.2f -> %.2f ps, %d buffers, %.2f s\n",
               r.initial_tns, r.final_tns, r.buffers_inserted, r.runtime_sec);
-  io::save_design_file(*w.loaded.design, w.loaded.constraints,
+  io::save_design_file(*loaded.design, loaded.constraints,
                        args.get("out", ""));
   return 0;
 }
@@ -448,7 +453,7 @@ int cmd_lint(const Args& args) {
 
   if (args.has("audit") && graph != nullptr && !report.has_errors()) {
     ref::GoldenSta sta(*graph, loaded.constraints, delays, {});
-    sta.update_full();
+    sta.update_clock();
     core::Engine engine(sta, {});
     engine.run_forward();
     report.merge(analysis::audit_engine(engine));

@@ -279,7 +279,7 @@ int run_verify(Conn& conn, const Args& args) {
   ref::GoldenOptions gopt;
   gopt.enable_hold = hold;
   ref::GoldenSta sta(graph, loaded.constraints, delays, gopt);
-  sta.update_full();
+  sta.update_clock();
   core::EngineOptions eopt;
   eopt.top_k = static_cast<int>(args.get_num("topk", 32));
   eopt.enable_hold = hold;

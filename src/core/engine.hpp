@@ -204,8 +204,10 @@ struct SlackSummary {
 /// (cross-corner worst-case) summaries come from merged_summary().
 class Engine {
  public:
-  /// One-time initialization from a golden reference engine on which
-  /// update_full() has been run.
+  /// One-time initialization from a golden reference engine whose clock
+  /// analysis is built (update_clock() or update_full()). Only the delays,
+  /// the clock analysis and the exceptions are read, so the result is the
+  /// same either way; the reference's propagated arrivals are not needed.
   explicit Engine(const ref::GoldenSta& reference, EngineOptions options = {});
 
   // ---- corners --------------------------------------------------------------

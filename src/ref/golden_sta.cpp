@@ -163,6 +163,13 @@ void GoldenSta::recompute_pin(PinId pin, RiseFall rf, bool early,
   finalize_entries(out, early);
 }
 
+void GoldenSta::update_clock() {
+  INSTA_TRACE_SCOPE("golden.clock");
+  clock_ = std::make_unique<timing::ClockAnalysis>(*graph_, *delays_,
+                                                   constraints_->nsigma);
+  propagated_ = false;
+}
+
 void GoldenSta::update_full() {
   INSTA_TRACE_SCOPE("golden.update_full");
   static telemetry::Counter full_updates =
@@ -170,11 +177,7 @@ void GoldenSta::update_full() {
   static telemetry::Counter pins_propagated =
       telemetry::MetricsRegistry::global().counter("golden.pins_propagated");
   full_updates.inc();
-  {
-    INSTA_TRACE_SCOPE("golden.clock");
-    clock_ = std::make_unique<timing::ClockAnalysis>(*graph_, *delays_,
-                                                     constraints_->nsigma);
-  }
+  update_clock();
   last_pins_ = 0;
   auto& pool = util::ThreadPool::global();
   for (std::size_t l = 0; l < graph_->num_levels(); ++l) {
@@ -203,6 +206,7 @@ void GoldenSta::update_full() {
     compute_slack(static_cast<EndpointId>(e));
     if (options_.enable_hold) compute_hold_slack(static_cast<EndpointId>(e));
   }
+  propagated_ = true;
 }
 
 void GoldenSta::update_incremental(std::span<const ArcId> changed) {
@@ -220,7 +224,7 @@ void GoldenSta::update_incremental(std::span<const ArcId> changed) {
       telemetry::MetricsRegistry::global().counter(
           "golden.incremental.full_fallbacks");
   incr_updates.inc();
-  check(clock_ != nullptr, "update_incremental: call update_full first");
+  check(propagated_, "update_incremental: call update_full first");
   const std::size_t num_levels = graph_->num_levels();
   std::vector<std::vector<PinId>> buckets(num_levels);
   std::vector<char> queued(graph_->design().num_pins(), 0);

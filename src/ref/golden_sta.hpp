@@ -59,17 +59,25 @@ inline constexpr double kNoArrivalSlack = std::numeric_limits<double>::infinity(
 /// The INSTA engine (src/core) initializes itself exclusively from this
 /// engine's public accessors: arc delays, startpoint initial arrivals,
 /// endpoint base required times, clock-tree CPPR tables, and exceptions —
-/// the "one-time initialization" of the paper's Figure 2.
+/// the "one-time initialization" of the paper's Figure 2. All of them come
+/// from the delay store and the clock analysis, so update_clock() is enough
+/// to build an Engine; the propagated arrival sets are never read.
 class GoldenSta {
  public:
   /// Binds the engine to a graph, constraints and a delay store. All three
   /// must outlive the engine; `delays` is owned by the caller and shared
-  /// with the delay calculator. Call update_full() before reading results.
+  /// with the delay calculator. Call update_full() before reading results,
+  /// or update_clock() when only the initialization data is needed.
   GoldenSta(const timing::TimingGraph& graph,
             const timing::Constraints& constraints, timing::ArcDelays& delays,
             GoldenOptions options = {});
 
   // ---- timing updates -----------------------------------------------------
+
+  /// Rebuilds the clock analysis (clock arrivals, CPPR tables) from the
+  /// current delays. Enough for sp_init(), ep_base_required(), ep_period()
+  /// and clock(); arrivals and slacks stay unpropagated until update_full().
+  void update_clock();
 
   /// Full timing update: rebuilds the clock analysis, re-propagates every
   /// pin, recomputes every endpoint slack.
@@ -78,6 +86,7 @@ class GoldenSta {
   /// Incremental update after the given arcs changed delay. Re-propagates
   /// only the affected fanout cone, stopping where arrival sets are
   /// unchanged. Falls back to update_full() if a clock-network arc changed.
+  /// Requires a prior update_full() (update_clock() alone is not enough).
   void update_incremental(std::span<const timing::ArcId> changed);
 
   /// Writes the deltas into the delay store, then updates incrementally.
@@ -168,7 +177,8 @@ class GoldenSta {
   /// with update_incremental()/update_full().
   [[nodiscard]] timing::ArcDelays& mutable_delays() { return *delays_; }
   [[nodiscard]] const timing::ClockAnalysis& clock() const {
-    util::check(clock_ != nullptr, "GoldenSta::clock: run update_full first");
+    util::check(clock_ != nullptr,
+                "GoldenSta::clock: run update_clock or update_full first");
     return *clock_;
   }
   [[nodiscard]] const timing::ExceptionTable& exceptions() const { return exceptions_; }
@@ -195,6 +205,7 @@ class GoldenSta {
   GoldenOptions options_;
   timing::ExceptionTable exceptions_;
   std::unique_ptr<timing::ClockAnalysis> clock_;
+  bool propagated_ = false;  ///< arrivals/slacks match the clock analysis
 
   std::vector<std::vector<ArrivalEntry>> arr_;        // [pin*2 + rf]
   std::vector<std::vector<ArrivalEntry>> arr_early_;  // min-mode, if enabled

@@ -161,7 +161,7 @@ TEST(MutexWrapperTest, TryLockSemantics) {
 TEST(MutexWrapperTest, RcuStylePublishCopyIsRaceFree) {
   struct Snapshot {
     std::uint64_t version = 0;
-    std::uint64_t payload = 0;  ///< version * 3 + 1; checked by readers
+    std::uint64_t payload = 1;  ///< version * 3 + 1; checked by readers
   };
   Mutex snap_mu("test.snap", 10);
   std::shared_ptr<const Snapshot> snap INSTA_GUARDED_BY(snap_mu) =

@@ -561,6 +561,67 @@ TEST(EngineState, MergedSummaryCacheSurvivesRollbackAndImportCollision) {
   EXPECT_NE(a->merged_summary(Mode::kSetup), stale);
 }
 
+// ---- engine initialization from a clock-only reference --------------------------
+
+/// An Engine reads only the delays, the clock analysis and the exceptions
+/// of its reference, so one built after update_clock() must equal one built
+/// after update_full() byte for byte (serve start-up builds it that way).
+TEST(ClockOnlyInit, EngineMatchesOneBuiltFromAPropagatedReference) {
+  struct Case {
+    bool hold;
+    std::vector<CornerSpec> corners;
+  };
+  const std::vector<Case> cases = {
+      {false, {}},
+      {true, {}},
+      {true, {CornerSpec{"fast", 0.9f, 0.95f}, CornerSpec{"slow", 1.1f, 1.05f}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "hold " << c.hold << ", corners "
+                                      << c.corners.size());
+    Fixture f(37, c.hold);  // f.sta: update_full()
+    ref::GoldenOptions gopt;
+    gopt.enable_hold = c.hold;
+    ref::GoldenSta clock_only(*f.graph, f.gd.constraints, f.delays, gopt);
+    clock_only.update_clock();
+
+    core::EngineOptions opt;
+    opt.top_k = 8;
+    opt.enable_hold = c.hold;
+    opt.corners = c.corners;
+    core::Engine full(*f.sta, opt);
+    core::Engine lean(clock_only, opt);
+    full.run_forward();
+    lean.run_forward();
+
+    expect_state_eq(lean.export_state(), full.export_state());
+    std::vector<Mode> modes{Mode::kSetup};
+    if (c.hold) modes.push_back(Mode::kHold);
+    for (const Mode m : modes) {
+      EXPECT_EQ(lean.merged_summary(m), full.merged_summary(m));
+      for (std::size_t k = 0; k < full.num_corners(); ++k) {
+        const auto corner = static_cast<core::CornerId>(k);
+        EXPECT_EQ(lean.summary(m, corner), full.summary(m, corner));
+      }
+    }
+  }
+}
+
+TEST(ClockOnlyInit, IncrementalUpdateStillRequiresAFullUpdate) {
+  Fixture f(41);
+  ref::GoldenSta sta(*f.graph, f.gd.constraints, f.delays, {});
+  const std::vector<timing::ArcId> none;
+  EXPECT_THROW(sta.update_incremental(none), util::CheckError);
+  sta.update_clock();
+  EXPECT_THROW(sta.update_incremental(none), util::CheckError);
+  sta.update_full();
+  EXPECT_NO_THROW(sta.update_incremental(none));
+  EXPECT_EQ(sta.tns(), f.sta->tns());
+  // A rebuilt clock analysis invalidates the propagated arrivals again.
+  sta.update_clock();
+  EXPECT_THROW(sta.update_incremental(none), util::CheckError);
+}
+
 // ---- service-level replication -----------------------------------------------------
 
 std::string repl_socket_path(const char* tag) {
