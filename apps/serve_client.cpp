@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -265,8 +266,36 @@ int mismatch(const char* what, double local, const telemetry::JsonValue& wire) {
   return 1;
 }
 
+/// The server's corner list from the info reply, scales bit-exact (the
+/// wire prints them with %.17g). Empty, i.e. the engine default, when the
+/// server advertises no scales.
+std::vector<core::CornerSpec> server_corners(Conn& conn) {
+  const auto info =
+      parse_reply(conn.request("{\"id\": 4, \"op\": \"info\"}"));
+  util::check(reply_ok(info), "verify: info failed on the wire");
+  const telemetry::JsonValue& result = result_field(info, {});
+  const telemetry::JsonValue* names = result.find("corners");
+  const telemetry::JsonValue* scales = result.find("corner_scales");
+  std::vector<core::CornerSpec> corners;
+  if (names == nullptr || scales == nullptr) return corners;
+  util::check(names->is_array() && scales->is_array() &&
+                  names->array.size() == scales->array.size(),
+              "verify: info corners and corner_scales disagree");
+  for (std::size_t c = 0; c < names->array.size(); ++c) {
+    const telemetry::JsonValue& pair = scales->array[c];
+    util::check(pair.is_array() && pair.array.size() == 2 &&
+                    pair.array[0].is_number() && pair.array[1].is_number(),
+                "verify: malformed corner_scales entry");
+    corners.push_back({names->array[c].string,
+                       static_cast<float>(pair.array[0].number),
+                       static_cast<float>(pair.array[1].number)});
+  }
+  return corners;
+}
+
 /// Replays summary / endpoints / whatif against both the wire and a local
-/// engine built from the same design file, requiring exact equality.
+/// engine built from the same design file and the server's corners,
+/// requiring exact equality.
 int run_verify(Conn& conn, const Args& args) {
   util::check(args.has("in"), "verify: --in is required");
   const bool hold = args.has("hold");
@@ -283,6 +312,7 @@ int run_verify(Conn& conn, const Args& args) {
   core::EngineOptions eopt;
   eopt.top_k = static_cast<int>(args.get_num("topk", 32));
   eopt.enable_hold = hold;
+  eopt.corners = server_corners(conn);
   core::Engine engine(sta, eopt);
   engine.run_forward();
 
@@ -329,8 +359,15 @@ int run_verify(Conn& conn, const Args& args) {
     util::check(eps.is_array() && eps.array.size() == num_eps,
                 "verify: endpoints reply has wrong cardinality");
     for (std::size_t e = 0; e < num_eps; ++e) {
-      const double local = static_cast<double>(
-          engine.endpoint_slack(static_cast<timing::EndpointId>(e)));
+      // The wire's merged slack: the worst over the corners.
+      float merged = std::numeric_limits<float>::infinity();
+      for (core::CornerId c = 0;
+           c < static_cast<core::CornerId>(engine.num_corners()); ++c) {
+        const float s =
+            engine.endpoint_slack(static_cast<timing::EndpointId>(e), c);
+        if (s < merged) merged = s;
+      }
+      const auto local = static_cast<double>(merged);
       const telemetry::JsonValue* slack = eps.array[e].find("slack");
       util::check(slack != nullptr, "verify: endpoint entry has no slack");
       if (!wire_equals(*slack, local)) {

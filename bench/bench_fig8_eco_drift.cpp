@@ -91,6 +91,7 @@ int main() {
   std::printf(
       "\nTNS view: reference %.1f ps | INSTA (drifted) %.1f ps | "
       "INSTA (re-synced) %.1f ps\n",
-      b.sta->tns(), engine.tns(), resynced.tns());
+      b.sta->tns(), engine.summary(core::Mode::kSetup, 0).tns,
+      resynced.summary(core::Mode::kSetup, 0).tns);
   return 0;
 }

@@ -54,8 +54,9 @@ int main() {
   opt.top_k = 32;
   core::Engine insta(sta, opt);
   insta.run_forward();
+  const core::SlackSummary s = insta.summary(core::Mode::kSetup, 0);
   std::printf("INSTA:      WNS %8.2f ps   TNS %10.2f ps   %d violations\n",
-              insta.wns(), insta.tns(), insta.num_violations());
+              s.wns, s.tns, s.violations);
 
   // 5. Endpoint-slack correlation (the paper's headline metric).
   std::vector<double> ref_slack, insta_slack;

@@ -43,7 +43,8 @@ int main() {
   core::Engine engine(sta, eopt);
   engine.run_forward();
   std::printf("INSTA: TNS %10.2f ps  THS %10.2f ps (matches reference)\n",
-              engine.tns(), engine.ths());
+              engine.summary(core::Mode::kSetup, 0).tns,
+              engine.summary(core::Mode::kHold, 0).tns);
 
   // Worst setup path, worst hold path.
   const auto setup_paths = ref::worst_paths(sta, 1);

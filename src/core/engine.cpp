@@ -641,33 +641,14 @@ analysis::LintReport Engine::annotate_checked(
 
 // ---- Transaction ------------------------------------------------------------
 
-Engine::Transaction::Transaction(Engine& engine) : engine_(&engine) {
-  tns_ = engine.tns_cache_;
-  nviol_ = engine.nviol_cache_;
-  ths_ = engine.ths_cache_;
-  nhold_viol_ = engine.nhold_viol_cache_;
-  wns_ = engine.wns_cache_;
-  wns_any_ = engine.wns_any_;
-  wns_valid_ = engine.wns_valid_;
-  whs_ = engine.whs_cache_;
-  whs_any_ = engine.whs_any_;
-  whs_valid_ = engine.whs_valid_;
-}
+Engine::Transaction::Transaction(Engine& engine)
+    : engine_(&engine), aggregates_(engine.aggregates_) {}
 
 Engine::Transaction::Transaction(Transaction&& other) noexcept
     : engine_(other.engine_),
       undo_(std::move(other.undo_)),
       applied_(std::move(other.applied_)),
-      tns_(std::move(other.tns_)),
-      nviol_(std::move(other.nviol_)),
-      ths_(std::move(other.ths_)),
-      nhold_viol_(std::move(other.nhold_viol_)),
-      wns_(std::move(other.wns_)),
-      wns_any_(std::move(other.wns_any_)),
-      wns_valid_(std::move(other.wns_valid_)),
-      whs_(std::move(other.whs_)),
-      whs_any_(std::move(other.whs_any_)),
-      whs_valid_(std::move(other.whs_valid_)) {
+      aggregates_(std::move(other.aggregates_)) {
   other.engine_ = nullptr;
 }
 
@@ -786,16 +767,7 @@ void Engine::Transaction::rollback() {
     // The sparse pass restored every slack bitwise; restoring the cache
     // snapshot on top also undoes the float drift of delta folding, so
     // aggregates come back exactly.
-    e.tns_cache_ = tns_;
-    e.nviol_cache_ = nviol_;
-    e.ths_cache_ = ths_;
-    e.nhold_viol_cache_ = nhold_viol_;
-    e.wns_cache_ = wns_;
-    e.wns_any_ = wns_any_;
-    e.wns_valid_ = wns_valid_;
-    e.whs_cache_ = whs_;
-    e.whs_any_ = whs_any_;
-    e.whs_valid_ = whs_valid_;
+    e.aggregates_ = aggregates_;
     undo_.clear();
   }
   applied_.clear();  // the edits no longer exist; there is nothing to replay
@@ -853,16 +825,7 @@ EngineState Engine::export_state() const {
   s.ep_worst_rf = ep_worst_rf_;
   s.ep_base_req = ep_base_req_;
   s.ep_hold_base = ep_hold_base_;
-  s.tns = tns_cache_;
-  s.nviol = nviol_cache_;
-  s.ths = ths_cache_;
-  s.nhold_viol = nhold_viol_cache_;
-  s.wns = wns_cache_;
-  s.wns_any = wns_any_;
-  s.wns_valid = wns_valid_;
-  s.whs = whs_cache_;
-  s.whs_any = whs_any_;
-  s.whs_valid = whs_valid_;
+  s.aggregates = aggregates_;
   return s;
 }
 
@@ -927,16 +890,8 @@ void Engine::import_state(const EngineState& s) {
   sized(s.slack, slack_, "slack plane size");
   sized(s.hold_slack, hold_slack_, "hold_slack plane size");
   sized(s.ep_worst_rf, ep_worst_rf_, "ep_worst_rf plane size");
-  sized(s.tns, tns_cache_, "tns cache size");
-  sized(s.nviol, nviol_cache_, "violation cache size");
-  sized(s.ths, ths_cache_, "ths cache size");
-  sized(s.nhold_viol, nhold_viol_cache_, "hold-violation cache size");
-  sized(s.wns, wns_cache_, "wns cache size");
-  sized(s.wns_any, wns_any_, "wns_any cache size");
-  sized(s.wns_valid, wns_valid_, "wns_valid cache size");
-  sized(s.whs, whs_cache_, "whs cache size");
-  sized(s.whs_any, whs_any_, "whs_any cache size");
-  sized(s.whs_valid, whs_valid_, "whs_valid cache size");
+  sized(s.aggregates[0], aggregates_[0], "setup aggregates corner count");
+  sized(s.aggregates[1], aggregates_[1], "hold aggregates corner count");
 
   amu_ = s.amu;
   asig_ = s.asig;
@@ -955,16 +910,7 @@ void Engine::import_state(const EngineState& s) {
   slack_ = s.slack;
   hold_slack_ = s.hold_slack;
   ep_worst_rf_ = s.ep_worst_rf;
-  tns_cache_ = s.tns;
-  nviol_cache_ = s.nviol;
-  ths_cache_ = s.ths;
-  nhold_viol_cache_ = s.nhold_viol;
-  wns_cache_ = s.wns;
-  wns_any_ = s.wns_any;
-  wns_valid_ = s.wns_valid;
-  whs_cache_ = s.whs;
-  whs_any_ = s.whs_any;
-  whs_valid_ = s.whs_valid;
+  aggregates_ = s.aggregates;
 
   // The image replaced whatever was pending: drop any queued frontier state
   // so the engine is clean at the imported generation.
@@ -990,8 +936,7 @@ void Engine::import_state(const EngineState& s) {
   // cached under different state (e.g. a replica that diverged and is
   // being resynced).
   invalidate_weights();
-  merged_setup_gen_ = std::numeric_limits<std::uint64_t>::max();
-  merged_hold_gen_ = std::numeric_limits<std::uint64_t>::max();
+  merged_ = {};
   last_pass_ = SparseStats{};
 }
 
@@ -1284,7 +1229,7 @@ void Engine::run_forward_sparse_corner(CornerId corner) {
 
   // Phase 3: delta endpoint evaluation — only the endpoints this corner's
   // frontier actually reached. Old slacks are snapshotted so the change can
-  // be folded into the corner's TNS/WNS caches.
+  // be folded into the corner's Aggregates.
   const std::size_t nd = deps.size();
   const std::size_t num_eps = ep_pin_.size();
   INSTA_TRACE_SCOPE("engine.sparse_endpoints",
@@ -1315,11 +1260,13 @@ void Engine::run_forward_sparse_corner(CornerId corner) {
     } else {
       eval(0, nd);
     }
+    Aggregates& setup = aggregates(Mode::kSetup, corner);
+    Aggregates& hold = aggregates(Mode::kHold, corner);
     for (std::size_t i = 0; i < nd; ++i) {
       const auto e = static_cast<std::size_t>(deps[i]);
-      apply_setup_delta(corner, old_slack_scratch_[i], slack_[eoff + e]);
+      setup.apply(old_slack_scratch_[i], slack_[eoff + e]);
       if (options_.enable_hold) {
-        apply_hold_delta(corner, old_hold_scratch_[i], hold_slack_[eoff + e]);
+        hold.apply(old_hold_scratch_[i], hold_slack_[eoff + e]);
       }
     }
   }
@@ -1379,208 +1326,62 @@ std::uint64_t Engine::evaluate_endpoint_hold(EndpointId ep, CornerId corner) {
   return ev.lookups;
 }
 
-namespace {
-/// Scans one corner's slack plane into (worst, any) — shared by the lazy
-/// wns/whs rebuilds and recompute_aggregates.
-std::pair<float, bool> worst_of(std::span<const float> slacks) {
-  float w = 0.0f;
-  bool any = false;
-  for (const float s : slacks) {
-    if (!std::isfinite(s)) continue;
-    if (!any || s < w) {
-      w = s;
-      any = true;
-    }
-  }
-  return {w, any};
-}
-}  // namespace
-
 void Engine::recompute_aggregates() {
   const std::size_t num_eps = ep_pin_.size();
-  tns_cache_.assign(C_, 0.0);
-  nviol_cache_.assign(C_, 0);
-  wns_cache_.assign(C_, 0.0f);
-  wns_any_.assign(C_, 0);
-  wns_valid_.assign(C_, 1);
-  ths_cache_.assign(C_, 0.0);
-  nhold_viol_cache_.assign(C_, 0);
-  whs_cache_.assign(C_, 0.0f);
-  whs_any_.assign(C_, 0);
-  whs_valid_.assign(C_, 1);
-  for (std::size_t c = 0; c < C_; ++c) {
-    const std::size_t eoff = ep_off(static_cast<CornerId>(c));
-    for (std::size_t e = 0; e < num_eps; ++e) {
-      const float s = slack_[eoff + e];
-      if (std::isfinite(s) && s < 0.0f) {
-        tns_cache_[c] += static_cast<double>(s);
-        ++nviol_cache_[c];
-      }
-    }
-    const auto [w, any] =
-        worst_of(std::span<const float>(slack_.data() + eoff, num_eps));
-    wns_cache_[c] = w;
-    wns_any_[c] = any ? 1 : 0;
-    if (!hold_slack_.empty()) {
-      for (std::size_t e = 0; e < num_eps; ++e) {
-        const float s = hold_slack_[eoff + e];
-        if (std::isfinite(s) && s < 0.0f) {
-          ths_cache_[c] += static_cast<double>(s);
-          ++nhold_viol_cache_[c];
-        }
-      }
-      const auto [hw, hany] = worst_of(
-          std::span<const float>(hold_slack_.data() + eoff, num_eps));
-      whs_cache_[c] = hw;
-      whs_any_[c] = hany ? 1 : 0;
+  for (const Mode mode : {Mode::kSetup, Mode::kHold}) {
+    std::vector<Aggregates>& row = aggregates_[static_cast<std::size_t>(mode)];
+    row.assign(C_, Aggregates{});
+    if (mode == Mode::kHold && hold_slack_.empty()) continue;
+    for (CornerId c = 0; c < static_cast<CornerId>(C_); ++c) {
+      const float* plane = slack_plane(mode, c);
+      row[static_cast<std::size_t>(c)] = Aggregates::scan(
+          num_eps, [plane](std::size_t e) { return plane[e]; });
     }
   }
-}
-
-void Engine::apply_setup_delta(CornerId corner, float oldv, float newv) {
-  if (oldv == newv) return;
-  const auto c = static_cast<std::size_t>(corner);
-  if (std::isfinite(oldv) && oldv < 0.0f) {
-    tns_cache_[c] -= static_cast<double>(oldv);
-    --nviol_cache_[c];
-  }
-  if (std::isfinite(newv) && newv < 0.0f) {
-    tns_cache_[c] += static_cast<double>(newv);
-    ++nviol_cache_[c];
-  }
-  if (wns_valid_[c] == 0) return;
-  if (std::isfinite(newv) && (wns_any_[c] == 0 || newv <= wns_cache_[c])) {
-    wns_cache_[c] = newv;
-    wns_any_[c] = 1;
-  } else if (wns_any_[c] != 0 && std::isfinite(oldv) &&
-             oldv <= wns_cache_[c]) {
-    // The cached minimum may have just improved; rebuild lazily on read.
-    wns_valid_[c] = 0;
-  }
-}
-
-void Engine::apply_hold_delta(CornerId corner, float oldv, float newv) {
-  if (oldv == newv) return;
-  const auto c = static_cast<std::size_t>(corner);
-  if (std::isfinite(oldv) && oldv < 0.0f) {
-    ths_cache_[c] -= static_cast<double>(oldv);
-    --nhold_viol_cache_[c];
-  }
-  if (std::isfinite(newv) && newv < 0.0f) {
-    ths_cache_[c] += static_cast<double>(newv);
-    ++nhold_viol_cache_[c];
-  }
-  if (whs_valid_[c] == 0) return;
-  if (std::isfinite(newv) && (whs_any_[c] == 0 || newv <= whs_cache_[c])) {
-    whs_cache_[c] = newv;
-    whs_any_[c] = 1;
-  } else if (whs_any_[c] != 0 && std::isfinite(oldv) &&
-             oldv <= whs_cache_[c]) {
-    whs_valid_[c] = 0;
-  }
-}
-
-double Engine::ths(CornerId corner) const {
-  return ths_cache_[static_cast<std::size_t>(corner)];
-}
-
-double Engine::whs(CornerId corner) const {
-  const auto c = static_cast<std::size_t>(corner);
-  if (whs_valid_[c] == 0) {
-    const auto [w, any] = worst_of(std::span<const float>(
-        hold_slack_.data() + ep_off(corner), ep_pin_.size()));
-    whs_cache_[c] = w;
-    whs_any_[c] = any ? 1 : 0;
-    whs_valid_[c] = 1;
-  }
-  return whs_any_[c] != 0 ? static_cast<double>(whs_cache_[c]) : 0.0;
-}
-
-int Engine::num_hold_violations(CornerId corner) const {
-  return nhold_viol_cache_[static_cast<std::size_t>(corner)];
-}
-
-double Engine::tns(CornerId corner) const {
-  return tns_cache_[static_cast<std::size_t>(corner)];
-}
-
-double Engine::wns(CornerId corner) const {
-  const auto c = static_cast<std::size_t>(corner);
-  if (wns_valid_[c] == 0) {
-    const auto [w, any] = worst_of(std::span<const float>(
-        slack_.data() + ep_off(corner), ep_pin_.size()));
-    wns_cache_[c] = w;
-    wns_any_[c] = any ? 1 : 0;
-    wns_valid_[c] = 1;
-  }
-  return wns_any_[c] != 0 ? static_cast<double>(wns_cache_[c]) : 0.0;
-}
-
-int Engine::num_violations(CornerId corner) const {
-  return nviol_cache_[static_cast<std::size_t>(corner)];
 }
 
 SlackSummary Engine::summary(Mode mode, CornerId corner) const {
   check(corner >= 0 && static_cast<std::size_t>(corner) < C_,
         "Engine::summary: corner id " + std::to_string(corner) +
             " out of range [0, " + std::to_string(C_) + ")");
-  if (mode == Mode::kSetup) {
-    return SlackSummary{tns(corner), wns(corner), num_violations(corner)};
-  }
-  check(options_.enable_hold,
+  check(mode == Mode::kSetup || options_.enable_hold,
         "Engine::summary(Mode::kHold): engine was built without enable_hold");
-  return SlackSummary{ths(corner), whs(corner), num_hold_violations(corner)};
+  Aggregates& a = aggregates(mode, corner);
+  if (a.valid == 0) {
+    const float* plane = slack_plane(mode, corner);
+    a.rescan(ep_pin_.size(), [plane](std::size_t e) { return plane[e]; });
+  }
+  return a.summary();
 }
 
 SlackSummary Engine::merged_summary(Mode mode) const {
-  if (mode == Mode::kHold) {
-    check(options_.enable_hold,
-          "Engine::merged_summary(Mode::kHold): engine was built without "
-          "enable_hold");
-  }
-  std::uint64_t& cached_gen =
-      mode == Mode::kSetup ? merged_setup_gen_ : merged_hold_gen_;
-  SlackSummary& cached =
-      mode == Mode::kSetup ? merged_setup_cache_ : merged_hold_cache_;
-  if (cached_gen == generation_) return cached;
+  check(mode == Mode::kSetup || options_.enable_hold,
+        "Engine::merged_summary(Mode::kHold): engine was built without "
+        "enable_hold");
+  MergedCache& cache = merged_[static_cast<std::size_t>(mode)];
+  if (cache.generation == generation_) return cache.summary;
   if (C_ == 1) {
-    cached = summary(mode, 0);
-    cached_gen = generation_;
-    return cached;
+    cache.summary = summary(mode, 0);
+  } else {
+    // Deterministic endpoint-major scan: the merged slack of an endpoint is
+    // its worst finite slack over every corner (a corner where the endpoint
+    // is unconstrained contributes nothing; +inf when none constrains it).
+    const float* base = slack_plane(mode, 0);
+    const std::size_t num_eps = ep_pin_.size();
+    cache.summary =
+        Aggregates::scan(num_eps,
+                         [this, base, num_eps](std::size_t e) {
+                           float m = kInf;
+                           for (std::size_t c = 0; c < C_; ++c) {
+                             const float s = base[c * num_eps + e];
+                             if (std::isfinite(s) && s < m) m = s;
+                           }
+                           return m;
+                         })
+            .summary();
   }
-  const float* base =
-      mode == Mode::kSetup ? slack_.data() : hold_slack_.data();
-  const std::size_t num_eps = ep_pin_.size();
-  double tns = 0.0;
-  float worst = 0.0f;
-  bool any = false;
-  int violations = 0;
-  // Deterministic endpoint-major scan: the merged slack of an endpoint is
-  // its worst finite slack over every corner (a corner where the endpoint
-  // is unconstrained contributes nothing).
-  for (std::size_t e = 0; e < num_eps; ++e) {
-    float m = kInf;
-    bool finite = false;
-    for (std::size_t c = 0; c < C_; ++c) {
-      const float s = base[c * num_eps + e];
-      if (!std::isfinite(s)) continue;
-      if (!finite || s < m) m = s;
-      finite = true;
-    }
-    if (!finite) continue;
-    if (m < 0.0f) {
-      tns += static_cast<double>(m);
-      ++violations;
-    }
-    if (!any || m < worst) {
-      worst = m;
-      any = true;
-    }
-  }
-  cached = SlackSummary{tns, any ? static_cast<double>(worst) : 0.0,
-                        violations};
-  cached_gen = generation_;
-  return cached;
+  cache.generation = generation_;
+  return cache.summary;
 }
 
 void Engine::compute_weights_pin(std::size_t p, float tau, CornerId corner) {

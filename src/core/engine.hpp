@@ -111,13 +111,105 @@ struct AppliedDeltas {
   std::vector<timing::ArcDelta> deltas;
 };
 
+/// Analysis mode of a slack query: late/setup or early/hold.
+enum class Mode : std::uint8_t { kSetup, kHold };
+
+/// Aggregate slack metrics of one analysis mode. This is the unit of
+/// reporting everywhere: Engine::summary(), ScenarioBatch results, the CLI
+/// tables. Comparable with == (the engine's bit-identity guarantees make
+/// exact comparison meaningful).
+struct SlackSummary {
+  double tns = 0.0;      ///< total negative slack, ps
+  double wns = 0.0;      ///< worst negative slack, ps (0 if nothing violates)
+  int violations = 0;    ///< endpoints with negative slack
+  friend bool operator==(const SlackSummary&, const SlackSummary&) = default;
+};
+
+/// The delta-maintained slack aggregates of one (corner, mode) over one
+/// endpoint slack plane: the state behind Engine::summary(). A full pass
+/// builds it with scan(); a sparse pass (and ScenarioBatch's replay, on a
+/// copy) folds each re-evaluated endpoint with apply(). The double TNS fold
+/// is order-sensitive and drifts from a fresh scan in the last bits, which
+/// is why the value is copied bitwise (Transaction snapshot, EngineState)
+/// rather than recomputed. `worst` is exact while `valid`; a fold that may
+/// have raised the minimum clears `valid`, and rescan() rebuilds worst/any
+/// on read. Non-finite slacks (unconstrained endpoints) count nowhere.
+struct Aggregates {
+  double tns = 0.0;         ///< sum of negative finite slacks, ps
+  int violations = 0;       ///< finite slacks below zero
+  float worst = 0.0f;       ///< minimum finite slack (when any)
+  std::uint8_t any = 0;     ///< 1 when some slack is finite
+  std::uint8_t valid = 1;   ///< 0 when worst/any need rescan()
+
+  /// Folds one endpoint's slack change oldv -> newv.
+  void apply(float oldv, float newv) {
+    if (oldv == newv) return;
+    if (std::isfinite(oldv) && oldv < 0.0f) {
+      tns -= static_cast<double>(oldv);
+      --violations;
+    }
+    if (std::isfinite(newv) && newv < 0.0f) {
+      tns += static_cast<double>(newv);
+      ++violations;
+    }
+    if (valid == 0) return;
+    if (std::isfinite(newv) && (any == 0 || newv <= worst)) {
+      worst = newv;
+      any = 1;
+    } else if (any != 0 && std::isfinite(oldv) && oldv <= worst) {
+      valid = 0;  // the minimum may have just improved
+    }
+  }
+
+  /// From-scratch aggregates of the n slacks slack(0..n-1), in index order.
+  template <typename Slack>
+  [[nodiscard]] static Aggregates scan(std::size_t n, const Slack& slack) {
+    Aggregates a;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float s = slack(i);
+      if (!std::isfinite(s)) continue;
+      if (s < 0.0f) {
+        a.tns += static_cast<double>(s);
+        ++a.violations;
+      }
+      if (a.any == 0 || s < a.worst) {
+        a.worst = s;
+        a.any = 1;
+      }
+    }
+    return a;
+  }
+
+  /// Rebuilds worst/any from slack(0..n-1) and marks them valid; tns and
+  /// violations (with their fold drift) are left as they are.
+  template <typename Slack>
+  void rescan(std::size_t n, const Slack& slack) {
+    any = 0;
+    worst = 0.0f;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float s = slack(i);
+      if (!std::isfinite(s)) continue;
+      if (any == 0 || s < worst) {
+        worst = s;
+        any = 1;
+      }
+    }
+    valid = 1;
+  }
+
+  /// The reported metrics (wns 0 when no slack is finite). Requires valid.
+  [[nodiscard]] SlackSummary summary() const {
+    return {tns, any != 0 ? static_cast<double>(worst) : 0.0, violations};
+  }
+};
+
 /// A complete image of the mutable timing state of a clean engine — the
 /// export/import unit behind the replication snapshot codec. Covers every
 /// store that annotate()/forward passes mutate (delay planes, startpoint
-/// arrivals, Top-K planes, slack planes) plus the delta-maintained
-/// aggregate caches, which are copied bitwise because their
-/// order-sensitive double folds drift from an exact recompute: a replica
-/// recomputing them locally would not match the writer byte for byte.
+/// arrivals, Top-K planes, slack planes) plus the per-(mode, corner)
+/// Aggregates, which are copied bitwise because their order-sensitive
+/// double folds drift from an exact recompute: a replica recomputing them
+/// locally would not match the writer byte for byte.
 /// Structural stores (graph CSR, CPPR tables, exceptions) are not
 /// included: both sides build them deterministically from the same design,
 /// and the shape/corner/required-time checks in import_state() reject a
@@ -154,33 +246,13 @@ struct EngineState {
   // constraints" fingerprint.
   std::vector<float> ep_base_req, ep_hold_base;
 
-  // Aggregate caches, bitwise (see struct comment).
-  std::vector<double> tns;
-  std::vector<int> nviol;
-  std::vector<double> ths;
-  std::vector<int> nhold_viol;
-  std::vector<float> wns;
-  std::vector<std::uint8_t> wns_any, wns_valid;
-  std::vector<float> whs;
-  std::vector<std::uint8_t> whs_any, whs_valid;
+  // Aggregates, bitwise (see struct comment), indexed [mode][corner]. The
+  // hold row is all defaults when hold is off.
+  std::array<std::vector<Aggregates>, 2> aggregates;
 };
 
 /// Global timing metric whose gradient run_backward computes.
 enum class GradientMetric { kTns, kWns };
-
-/// Analysis mode of a slack query: late/setup or early/hold.
-enum class Mode : std::uint8_t { kSetup, kHold };
-
-/// Aggregate slack metrics of one analysis mode. This is the unit of
-/// reporting everywhere: Engine::summary(), ScenarioBatch results, the CLI
-/// tables. Comparable with == (the engine's bit-identity guarantees make
-/// exact comparison meaningful).
-struct SlackSummary {
-  double tns = 0.0;      ///< total negative slack, ps
-  double wns = 0.0;      ///< worst negative slack, ps (0 if nothing violates)
-  int violations = 0;    ///< endpoints with negative slack
-  friend bool operator==(const SlackSummary&, const SlackSummary&) = default;
-};
 
 /// The INSTA engine: ultra-fast, differentiable, statistical timing
 /// propagation over a timing-graph image cloned from a reference engine.
@@ -202,6 +274,10 @@ struct SlackSummary {
 /// engine image), so one graph traversal propagates C corners through the
 /// same vectorized kernels. Per-corner queries take a CornerId; merged
 /// (cross-corner worst-case) summaries come from merged_summary().
+///
+/// Slack metrics: each (corner, mode) keeps one Aggregates value, rebuilt
+/// by every full pass and folded by delta in sparse passes; summary()
+/// reports it.
 class Engine {
  public:
   /// One-time initialization from a golden reference engine whose clock
@@ -267,9 +343,9 @@ class Engine {
   /// checkpoint/annotate/restore dance. A Transaction records the raw
   /// pre-edit stores of every arc it touches in every corner (first touch
   /// wins), so rollback() restores delays, Top-K stores, endpoint slacks,
-  /// and the delta-maintained TNS/WNS caches to their exact
-  /// pre-transaction bytes — including launch arcs, whose startpoint fold
-  /// does not round-trip through read_annotation()/annotate() exactly.
+  /// and the delta-maintained Aggregates to their exact pre-transaction
+  /// bytes — including launch arcs, whose startpoint fold does not
+  /// round-trip through read_annotation()/annotate() exactly.
   ///
   ///   auto tx = engine.begin_edit();
   ///   tx.annotate(deltas);                  // broadcast to all corners
@@ -312,8 +388,8 @@ class Engine {
 
     /// Restores every touched arc's raw delay floats in every corner,
     /// re-propagates incrementally (bit-identical slack restoration), and
-    /// restores the aggregate caches from the begin_edit() snapshot. The
-    /// engine is timing-clean afterwards.
+    /// restores the Aggregates copied at begin_edit(). The engine is
+    /// timing-clean afterwards.
     void rollback();
 
     /// False once commit()/rollback() ran (or the transaction was moved).
@@ -339,20 +415,10 @@ class Engine {
     Engine* engine_ = nullptr;
     std::vector<Undo> undo_;
     std::vector<AppliedDeltas> applied_;
-    // Per-corner aggregate-cache snapshot taken at begin_edit(); restored
-    // verbatim on rollback (the slack stores themselves restore
-    // bit-identically through the sparse pass, so the snapshot stays
-    // consistent with them).
-    std::vector<double> tns_;
-    std::vector<int> nviol_;
-    std::vector<double> ths_;
-    std::vector<int> nhold_viol_;
-    std::vector<float> wns_;
-    std::vector<std::uint8_t> wns_any_;
-    std::vector<std::uint8_t> wns_valid_;
-    std::vector<float> whs_;
-    std::vector<std::uint8_t> whs_any_;
-    std::vector<std::uint8_t> whs_valid_;
+    // The engine's aggregates at begin_edit(); restored verbatim on
+    // rollback (the slack stores themselves restore bit-identically through
+    // the sparse pass, so the snapshot stays consistent with them).
+    std::array<std::vector<Aggregates>, 2> aggregates_;
   };
 
   /// Opens a Transaction. Requires clean timing (run a forward pass first)
@@ -436,6 +502,8 @@ class Engine {
   /// primary reporting accessor. The corner is an explicit parameter (the
   /// MCMM API migration point); use merged_summary() for the cross-corner
   /// worst-case view. Mode::kHold requires EngineOptions::enable_hold.
+  /// Reads the delta-maintained Aggregates, rescanning the corner's slack
+  /// plane first when a fold left the worst slack stale.
   [[nodiscard]] SlackSummary summary(Mode mode, CornerId corner) const;
 
   /// Cross-corner merged metrics: per endpoint, the worst slack over every
@@ -456,37 +524,12 @@ class Engine {
     return {slack_.data() + ep_off(corner), ep_pin_.size()};
   }
 
-  // Single-field per-corner aggregate reads. summary(Mode, CornerId) is the
-  // preferred reporting call; these remain for hot loops that want one
-  // field without settling the lazy WNS cache. The corner defaults to 0
-  // (the first configured corner) for single-corner callers.
-
-  /// Total negative slack of one corner, ps.
-  [[nodiscard]] double tns(CornerId corner = 0) const;
-
-  /// Worst negative slack of one corner, ps (0 if no endpoint violates).
-  [[nodiscard]] double wns(CornerId corner = 0) const;
-
-  /// Number of endpoints with negative slack in one corner.
-  [[nodiscard]] int num_violations(CornerId corner = 0) const;
-
-  // ---- hold (min-mode) results; valid when options.enable_hold -------------
-
   /// Hold slack of one endpoint in one corner, ps (+infinity if
-  /// unconstrained).
+  /// unconstrained). Valid when options.enable_hold.
   [[nodiscard]] float endpoint_hold_slack(timing::EndpointId ep,
                                           CornerId corner = 0) const {
     return hold_slack_[ep_off(corner) + static_cast<std::size_t>(ep)];
   }
-
-  /// Total negative hold slack of one corner, ps.
-  [[nodiscard]] double ths(CornerId corner = 0) const;
-
-  /// Worst hold slack of one corner, ps (0 if nothing violates).
-  [[nodiscard]] double whs(CornerId corner = 0) const;
-
-  /// Number of endpoints with negative hold slack in one corner.
-  [[nodiscard]] int num_hold_violations(CornerId corner = 0) const;
 
   // ---- backward: timing gradients -------------------------------------------
 
@@ -659,13 +702,19 @@ class Engine {
                             ForwardCounters& fc);
   /// Queues `pin` (at graph level `lvl`) on one corner's dirty frontier.
   void mark_dirty(netlist::PinId pin, int lvl, CornerId corner);
-  /// Rebuilds every corner's TNS/WNS/violation caches from slack_ /
+  /// Rebuilds every (mode, corner) Aggregates by scanning slack_ /
   /// hold_slack_.
   void recompute_aggregates();
-  /// Folds one endpoint's setup-slack change into one corner's
-  /// delta-maintained aggregates (and similarly for hold).
-  void apply_setup_delta(CornerId corner, float oldv, float newv);
-  void apply_hold_delta(CornerId corner, float oldv, float newv);
+  /// One corner's live slack plane of one mode, indexed by endpoint id.
+  [[nodiscard]] const float* slack_plane(Mode mode, CornerId corner) const {
+    return (mode == Mode::kSetup ? slack_ : hold_slack_).data() +
+           ep_off(corner);
+  }
+  /// The delta-maintained aggregates of one (mode, corner).
+  [[nodiscard]] Aggregates& aggregates(Mode mode, CornerId corner) const {
+    return aggregates_[static_cast<std::size_t>(mode)]
+                      [static_cast<std::size_t>(corner)];
+  }
   void process_pin(netlist::PinId pin, CornerId corner, ForwardCounters& fc);
   void process_pin_early(netlist::PinId pin, CornerId corner,
                          ForwardCounters& fc);
@@ -860,29 +909,18 @@ class Engine {
   /// Completed forward passes (see generation()).
   std::uint64_t generation_ = 0;
 
-  // Per-corner delta-maintained global metrics (exactly rebuilt by every
-  // full pass).
-  std::vector<double> tns_cache_;
-  std::vector<int> nviol_cache_;
-  std::vector<double> ths_cache_;
-  std::vector<int> nhold_viol_cache_;
-  /// wns/whs caches are lazily rebuilt per corner when the endpoint holding
-  /// the minimum may have improved (wns_valid_[c] == 0).
-  mutable std::vector<float> wns_cache_;
-  mutable std::vector<std::uint8_t> wns_any_;
-  mutable std::vector<std::uint8_t> wns_valid_;
-  mutable std::vector<float> whs_cache_;
-  mutable std::vector<std::uint8_t> whs_any_;
-  mutable std::vector<std::uint8_t> whs_valid_;
+  /// Delta-maintained aggregates, [mode][corner] (exactly rebuilt by every
+  /// full pass). Mutable: summary() rescans a stale worst slack on read.
+  mutable std::array<std::vector<Aggregates>, 2> aggregates_;
 
-  /// Generation-stamped merged_summary() caches (recomputed on demand by an
-  /// endpoint-major scan; never delta-maintained, so they cannot drift).
-  mutable SlackSummary merged_setup_cache_;
-  mutable SlackSummary merged_hold_cache_;
-  mutable std::uint64_t merged_setup_gen_ =
-      std::numeric_limits<std::uint64_t>::max();
-  mutable std::uint64_t merged_hold_gen_ =
-      std::numeric_limits<std::uint64_t>::max();
+  /// Per-mode generation-stamped merged_summary() caches (recomputed on
+  /// demand by an endpoint-major scan; never delta-maintained, so they
+  /// cannot drift).
+  struct MergedCache {
+    SlackSummary summary;
+    std::uint64_t generation = std::numeric_limits<std::uint64_t>::max();
+  };
+  mutable std::array<MergedCache, 2> merged_;
 
   // Backward state (per-corner planes over the single-corner layouts).
   std::array<std::vector<float>, 2> w_;  // per corner*slot, [rf]: Eq. 6 weights

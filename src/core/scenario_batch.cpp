@@ -332,29 +332,12 @@ void ScenarioBatch::run_scenario(std::span<const timing::ArcDelta> deltas,
     if (hold) out.hold = out.hold_by_corner[0];
     return;
   }
-  // Endpoint-major merged scan, same order and comparisons as
-  // Engine::merged_summary (merged_setup already holds each endpoint's
-  // worst-over-corners value; unconstrained-everywhere endpoints stayed
-  // +inf and are skipped).
+  // Endpoint-major merged scan, the one Engine::merged_summary runs
+  // (merged_setup already holds each endpoint's worst-over-corners value;
+  // unconstrained-everywhere endpoints stayed +inf and are skipped).
   const auto merge_scan = [num_eps](const std::vector<float>& m) {
-    double tns = 0.0;
-    float worst = 0.0f;
-    bool any = false;
-    int violations = 0;
-    for (std::size_t ep = 0; ep < num_eps; ++ep) {
-      const float s = m[ep];
-      if (!std::isfinite(s)) continue;
-      if (s < 0.0f) {
-        tns += static_cast<double>(s);
-        ++violations;
-      }
-      if (!any || s < worst) {
-        worst = s;
-        any = true;
-      }
-    }
-    return SlackSummary{tns, any ? static_cast<double>(worst) : 0.0,
-                        violations};
+    return Aggregates::scan(num_eps, [&m](std::size_t ep) { return m[ep]; })
+        .summary();
   };
   out.setup = merge_scan(ws.merged_setup);
   if (hold) out.hold = merge_scan(ws.merged_hold);
@@ -576,126 +559,51 @@ void ScenarioBatch::run_scenario_corner(
   }
   out.endpoints_evaluated += nd;
 
-  // ---- aggregate replay: apply_setup_delta/apply_hold_delta on locals ----
-  // Starts from this corner's settled parent caches (evaluate() reads
-  // tns(c)/wns(c) up front) and folds deltas in dirty_eps order — the same
-  // order a sequential pass folds them.
+  // ---- aggregate replay: Aggregates::apply on copies -------------------
+  // Starts from this corner's parent aggregates and folds deltas in
+  // dirty_eps order — the same order a sequential pass folds them.
   const std::size_t eoff = e.ep_off(corner);
-  double tns = e.tns_cache_[cc];
-  int nviol = e.nviol_cache_[cc];
-  float wns_c = e.wns_cache_[cc];
-  bool wns_any = e.wns_any_[cc] != 0;
-  bool wns_valid = e.wns_valid_[cc] != 0;
-  double ths = hold ? e.ths_cache_[cc] : 0.0;
-  int nhviol = hold ? e.nhold_viol_cache_[cc] : 0;
-  float whs_c = hold ? e.whs_cache_[cc] : 0.0f;
-  bool whs_any = hold && e.whs_any_[cc] != 0;
-  bool whs_valid = hold && e.whs_valid_[cc] != 0;
+  const std::size_t num_eps = e.ep_pin_.size();
+  // This corner's scenario slacks: the re-evaluated value where the
+  // frontier reached the endpoint, the baseline elsewhere.
+  const auto setup_at = [&](std::size_t ep) {
+    const std::int32_t oi = ws.ep_ov[ep];
+    return oi >= 0 ? ws.new_setup[static_cast<std::size_t>(oi)]
+                   : e.slack_[eoff + ep];
+  };
+  const auto hold_at = [&](std::size_t ep) {
+    const std::int32_t oi = ws.ep_ov[ep];
+    return oi >= 0 ? ws.new_hold[static_cast<std::size_t>(oi)]
+                   : e.hold_slack_[eoff + ep];
+  };
+  Aggregates setup = e.aggregates(Mode::kSetup, corner);
+  Aggregates hold_agg = e.aggregates(Mode::kHold, corner);
   for (std::size_t i = 0; i < nd; ++i) {
     const auto epi = static_cast<std::size_t>(ws.dirty_eps[i]);
-    // Recorded before the equality skip so the lazy rescan substitutes the
-    // scenario value even when it equals the baseline (last write wins for
-    // endpoints reached twice — they are not: fanout climbs levels, so each
-    // endpoint appears at most once in dirty_eps).
+    // Recorded before the fold so the rescan substitutes the scenario value
+    // even when it equals the baseline (each endpoint appears at most once
+    // in dirty_eps: fanout climbs levels).
     ws.ep_ov[epi] = static_cast<std::int32_t>(i);
-    const float oldv = e.slack_[eoff + epi];
-    const float newv = ws.new_setup[i];
-    if (oldv != newv) {
-      if (std::isfinite(oldv) && oldv < 0.0f) {
-        tns -= static_cast<double>(oldv);
-        --nviol;
-      }
-      if (std::isfinite(newv) && newv < 0.0f) {
-        tns += static_cast<double>(newv);
-        ++nviol;
-      }
-      if (wns_valid) {
-        if (std::isfinite(newv) && (!wns_any || newv <= wns_c)) {
-          wns_c = newv;
-          wns_any = true;
-        } else if (wns_any && std::isfinite(oldv) && oldv <= wns_c) {
-          wns_valid = false;
-        }
-      }
-    }
-    if (hold) {
-      const float holdo = e.hold_slack_[eoff + epi];
-      const float holdn = ws.new_hold[i];
-      if (holdo != holdn) {
-        if (std::isfinite(holdo) && holdo < 0.0f) {
-          ths -= static_cast<double>(holdo);
-          --nhviol;
-        }
-        if (std::isfinite(holdn) && holdn < 0.0f) {
-          ths += static_cast<double>(holdn);
-          ++nhviol;
-        }
-        if (whs_valid) {
-          if (std::isfinite(holdn) && (!whs_any || holdn <= whs_c)) {
-            whs_c = holdn;
-            whs_any = true;
-          } else if (whs_any && std::isfinite(holdo) && holdo <= whs_c) {
-            whs_valid = false;
-          }
-        }
-      }
-    }
+    setup.apply(e.slack_[eoff + epi], ws.new_setup[i]);
+    if (hold) hold_agg.apply(e.hold_slack_[eoff + epi], ws.new_hold[i]);
   }
-  // Lazy rescan, overlay-substituted: the workspace twin of the rebuild
-  // Engine::wns() performs when the cached minimum may have improved. Same
-  // scan order and comparisons as worst_of().
-  const std::size_t num_eps = e.ep_pin_.size();
-  if (!wns_valid) {
-    float w = 0.0f;
-    bool any = false;
-    for (std::size_t ep = 0; ep < num_eps; ++ep) {
-      const std::int32_t oi = ws.ep_ov[ep];
-      const float s = oi >= 0 ? ws.new_setup[static_cast<std::size_t>(oi)]
-                              : e.slack_[eoff + ep];
-      if (!std::isfinite(s)) continue;
-      if (!any || s < w) {
-        w = s;
-        any = true;
-      }
-    }
-    wns_c = w;
-    wns_any = any;
-  }
-  if (hold && !whs_valid) {
-    float w = 0.0f;
-    bool any = false;
-    for (std::size_t ep = 0; ep < num_eps; ++ep) {
-      const std::int32_t oi = ws.ep_ov[ep];
-      const float s = oi >= 0 ? ws.new_hold[static_cast<std::size_t>(oi)]
-                              : e.hold_slack_[eoff + ep];
-      if (!std::isfinite(s)) continue;
-      if (!any || s < w) {
-        w = s;
-        any = true;
-      }
-    }
-    whs_c = w;
-    whs_any = any;
-  }
-
-  out.setup_by_corner[cc] =
-      SlackSummary{tns, wns_any ? static_cast<double>(wns_c) : 0.0, nviol};
+  // The lazy rescan Engine::summary() would perform, over the
+  // overlay-substituted plane.
+  if (setup.valid == 0) setup.rescan(num_eps, setup_at);
+  out.setup_by_corner[cc] = setup.summary();
   if (hold) {
-    out.hold_by_corner[cc] =
-        SlackSummary{ths, whs_any ? static_cast<double>(whs_c) : 0.0, nhviol};
+    if (hold_agg.valid == 0) hold_agg.rescan(num_eps, hold_at);
+    out.hold_by_corner[cc] = hold_agg.summary();
   }
   // Fold this corner's substituted endpoint slacks into the running
   // cross-corner minimum (the caller's final scan mirrors
-  // Engine::merged_summary); baseline reads stay on this corner's plane.
+  // Engine::merged_summary).
   if (e.C_ > 1) {
     for (std::size_t ep = 0; ep < num_eps; ++ep) {
-      const std::int32_t oi = ws.ep_ov[ep];
-      const float s = oi >= 0 ? ws.new_setup[static_cast<std::size_t>(oi)]
-                              : e.slack_[eoff + ep];
+      const float s = setup_at(ep);
       if (s < ws.merged_setup[ep]) ws.merged_setup[ep] = s;
       if (hold) {
-        const float h = oi >= 0 ? ws.new_hold[static_cast<std::size_t>(oi)]
-                                : e.hold_slack_[eoff + ep];
+        const float h = hold_at(ep);
         if (h < ws.merged_hold[ep]) ws.merged_hold[ep] = h;
       }
     }
@@ -735,18 +643,6 @@ std::vector<ScenarioResult> ScenarioBatch::evaluate(
                        " has invalid deltas:\n" + rep.str());
     }
   }
-  // Settle every corner's lazy WNS/WHS caches so every (scenario, corner)
-  // cell replays its deltas from the same aggregate state a sequential
-  // pass would start from.
-  for (CornerId c = 0; c < static_cast<CornerId>(e.C_); ++c) {
-    (void)e.tns(c);
-    (void)e.wns(c);
-    if (e.options_.enable_hold) {
-      (void)e.ths(c);
-      (void)e.whs(c);
-    }
-  }
-
   const std::size_t num_scenarios = scenarios.size();
   std::vector<ScenarioResult> results(num_scenarios);
   if (num_scenarios == 0) return results;

@@ -37,6 +37,19 @@ void put_str(std::string& buf, const std::string& s) {
   put_bytes(buf, s.data(), s.size());
 }
 
+/// Aggregates travel field by field, never as a struct image, so padding
+/// bytes cannot reach the checksummed payload.
+constexpr std::size_t kAggregatesBytes = sizeof(double) + sizeof(int) +
+                                         sizeof(float) + 2;
+
+void put_aggregates(std::string& buf, const core::Aggregates& a) {
+  put(buf, a.tns);
+  put(buf, a.violations);
+  put(buf, a.worst);
+  put(buf, a.any);
+  put(buf, a.valid);
+}
+
 /// Prepends the frame header to a finished payload.
 std::string frame(FrameKind kind, std::string payload) {
   std::string out;
@@ -117,6 +130,16 @@ class Reader {
   bool failed_ = false;
 };
 
+core::Aggregates get_aggregates(Reader& r) {
+  core::Aggregates a;
+  a.tns = r.get<double>();
+  a.violations = r.get<int>();
+  a.worst = r.get<float>();
+  a.any = r.get<std::uint8_t>();
+  a.valid = r.get<std::uint8_t>();
+  return a;
+}
+
 /// Validates the frame header; returns the payload view or an error.
 std::string check_frame(std::string_view bytes, FrameKind want,
                         std::string_view& payload) {
@@ -192,16 +215,10 @@ std::string encode_snapshot(const core::EngineState& s) {
   put_vec(p, s.ep_worst_rf);
   put_vec(p, s.ep_base_req);
   put_vec(p, s.ep_hold_base);
-  put_vec(p, s.tns);
-  put_vec(p, s.nviol);
-  put_vec(p, s.ths);
-  put_vec(p, s.nhold_viol);
-  put_vec(p, s.wns);
-  put_vec(p, s.wns_any);
-  put_vec(p, s.wns_valid);
-  put_vec(p, s.whs);
-  put_vec(p, s.whs_any);
-  put_vec(p, s.whs_valid);
+  for (const std::vector<core::Aggregates>& row : s.aggregates) {
+    put(p, static_cast<std::uint64_t>(row.size()));
+    for (const core::Aggregates& a : row) put_aggregates(p, a);
+  }
   return frame(FrameKind::kSnapshot, std::move(p));
 }
 
@@ -255,16 +272,14 @@ std::string decode_snapshot(std::string_view bytes, core::EngineState& out) {
   r.get_vec(s.ep_worst_rf);
   r.get_vec(s.ep_base_req);
   r.get_vec(s.ep_hold_base);
-  r.get_vec(s.tns);
-  r.get_vec(s.nviol);
-  r.get_vec(s.ths);
-  r.get_vec(s.nhold_viol);
-  r.get_vec(s.wns);
-  r.get_vec(s.wns_any);
-  r.get_vec(s.wns_valid);
-  r.get_vec(s.whs);
-  r.get_vec(s.whs_any);
-  r.get_vec(s.whs_valid);
+  for (std::vector<core::Aggregates>& row : s.aggregates) {
+    const auto n = r.get<std::uint64_t>();
+    if (r.failed() || n > payload.size() / kAggregatesBytes) {
+      return "truncated snapshot payload (aggregates)";
+    }
+    row.resize(static_cast<std::size_t>(n));
+    for (core::Aggregates& a : row) a = get_aggregates(r);
+  }
   if (r.failed()) return "truncated snapshot payload";
   if (!r.exhausted()) return "trailing bytes after snapshot payload";
   out = std::move(s);

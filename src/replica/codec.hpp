@@ -20,10 +20,12 @@
 //
 // Payload scalars/arrays are raw memcpy images — floats ship by bit
 // pattern, which is what makes "replica state is byte-identical to the
-// writer" a property of the transport, not a hope. decode_* rejects bad
-// magic, unknown version, wrong kind, size mismatch, truncation, and
-// checksum failure with a descriptive error string and touches the output
-// only on success.
+// writer" a property of the transport, not a hope. Structs (the per-mode
+// core::Aggregates blocks of a snapshot, since version 2) are written
+// field by field, so no padding byte reaches the checksummed payload.
+// decode_* rejects bad magic, unknown version, wrong kind, size mismatch,
+// truncation, and checksum failure with a descriptive error string and
+// touches the output only on success.
 //
 // NDJSON transport: frames travel inside JSON strings as base64
 // (base64_encode / base64_decode below).
@@ -37,7 +39,7 @@
 
 namespace insta::replica {
 
-inline constexpr std::uint16_t kCodecVersion = 1;
+inline constexpr std::uint16_t kCodecVersion = 2;
 
 enum class FrameKind : std::uint8_t { kSnapshot = 1, kDelta = 2 };
 

@@ -457,6 +457,15 @@ std::string Dispatcher::dispatch_op(const Request& req, bool* shutdown,
         if (c != 0) body += ", ";
         body += "\"" + telemetry::json_escape(snap->corners[c]) + "\"";
       }
+      // %.17g round-trips each float scale exactly, so a client can build
+      // an engine whose slacks are bit-identical to this one's.
+      body += "], \"corner_scales\": [";
+      for (std::size_t c = 0; c < e.corners().size(); ++c) {
+        if (c != 0) body += ", ";
+        body += "[" + telemetry::json_number(e.corners()[c].delay_scale) +
+                ", " + telemetry::json_number(e.corners()[c].sigma_scale) +
+                "]";
+      }
       body += "]";
     }
     body += "}";

@@ -23,7 +23,9 @@
 // "corner" member — a corner name or integer id — selecting one corner's
 // view; absent means the cross-corner merged view. An unknown corner is
 // rejected with code "unknown-corner". info reports the negotiated
-// "protocol" version and the engine's "corners" name list; a client may pin
+// "protocol" version, the engine's "corners" name list and, beside it,
+// "corner_scales": one [delay_scale, sigma_scale] pair per corner, printed
+// so the floats round-trip exactly; a client may pin
 // an older version with {"protocol": 1}, which suppresses the corner
 // features for the rest of the connection.
 //
@@ -64,7 +66,8 @@ namespace insta::serve {
 
 /// Wire protocol version. Version 2 added the corner dimension: the
 /// optional "corner" request field on summary/endpoints/whatif (absent =
-/// cross-corner merged view), the "corners"/"protocol" members of info, and
+/// cross-corner merged view), the "corners"/"corner_scales"/"protocol"
+/// members of info, and
 /// the "protocol" request field for version negotiation (a client may pin
 /// any version in [1, kProtocolVersion]; version-1 connections are served
 /// the pre-corner protocol and corner selections are rejected). Version 3

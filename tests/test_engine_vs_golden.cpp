@@ -51,8 +51,9 @@ TEST_P(EngineVsGolden, ExactWithLargeK) {
     // float32 arithmetic over ~1e3 ps magnitudes: allow ~1e-2 ps.
     EXPECT_NEAR(golden[e], static_cast<double>(mine), 2e-2) << "endpoint " << e;
   }
-  EXPECT_NEAR(f.sta->tns(), engine.tns(), std::abs(f.sta->tns()) * 1e-4 + 0.1);
-  EXPECT_NEAR(f.sta->wns(), engine.wns(), 2e-2);
+  const core::SlackSummary s = engine.summary(core::Mode::kSetup, 0);
+  EXPECT_NEAR(f.sta->tns(), s.tns, std::abs(f.sta->tns()) * 1e-4 + 0.1);
+  EXPECT_NEAR(f.sta->wns(), s.wns, 2e-2);
 }
 
 /// K=1 (no CPPR handling) must be pessimistic-or-equal against full K:

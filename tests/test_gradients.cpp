@@ -44,7 +44,7 @@ double tns_with_shift(core::Engine& engine, const timing::ArcDelays& delays,
   }
   engine.annotate({&d, 1});
   engine.run_forward();
-  const double tns = engine.tns();
+  const double tns = engine.summary(core::Mode::kSetup, 0).tns;
   // Restore.
   for (const int rf : {0, 1}) {
     d.mu[static_cast<std::size_t>(rf)] =
@@ -82,7 +82,10 @@ TEST_P(Gradients, EndpointSeedsAreConserved) {
     total += static_cast<double>(g);
   }
   EXPECT_GT(checked, 0);
-  EXPECT_NEAR(total, static_cast<double>(engine.num_violations()), 1e-3);
+  EXPECT_NEAR(total,
+              static_cast<double>(
+                  engine.summary(core::Mode::kSetup, 0).violations),
+              1e-3);
 }
 
 /// WNS-mode seeds form a soft-min distribution: endpoint fanin gradients sum
@@ -114,7 +117,9 @@ TEST_P(Gradients, WnsSeedsSumToOne) {
     if (e == worst_ep) worst_seed = static_cast<double>(g);
   }
   EXPECT_NEAR(total, 1.0, 1e-3);
-  EXPECT_GT(worst_seed, 1.0 / static_cast<double>(engine.num_violations() + 1));
+  EXPECT_GT(worst_seed,
+            1.0 / static_cast<double>(
+                      engine.summary(core::Mode::kSetup, 0).violations + 1));
 }
 
 /// Central finite differences of the (hard-max) forward TNS match the

@@ -147,9 +147,11 @@ TEST_P(IncrementalForward, AggregatesTrackFullForward) {
     // Slacks are bit-identical, so WNS and the violation count are exact;
     // TNS is accumulated in a different order (delta vs scan), so it may
     // differ in the last double bits.
-    EXPECT_EQ(inc.wns(), full.wns());
-    EXPECT_EQ(inc.num_violations(), full.num_violations());
-    EXPECT_NEAR(inc.tns(), full.tns(), 1e-6 * (1.0 + std::abs(full.tns())));
+    const core::SlackSummary is = inc.summary(core::Mode::kSetup, 0);
+    const core::SlackSummary fs = full.summary(core::Mode::kSetup, 0);
+    EXPECT_EQ(is.wns, fs.wns);
+    EXPECT_EQ(is.violations, fs.violations);
+    EXPECT_NEAR(is.tns, fs.tns, 1e-6 * (1.0 + std::abs(fs.tns)));
   }
 }
 
@@ -271,10 +273,11 @@ TEST(IncrementalForwardHold, MatchesFullForwardBitIdentical) {
           ASSERT_EQ(ha, hb) << "hold endpoint " << e;
         }
       }
-      EXPECT_EQ(inc.whs(), full.whs());
-      EXPECT_EQ(inc.num_hold_violations(), full.num_hold_violations());
-      EXPECT_NEAR(inc.ths(), full.ths(),
-                  1e-6 * (1.0 + std::abs(full.ths())));
+      const core::SlackSummary ih = inc.summary(core::Mode::kHold, 0);
+      const core::SlackSummary fh = full.summary(core::Mode::kHold, 0);
+      EXPECT_EQ(ih.wns, fh.wns);
+      EXPECT_EQ(ih.violations, fh.violations);
+      EXPECT_NEAR(ih.tns, fh.tns, 1e-6 * (1.0 + std::abs(fh.tns)));
     }
   }
 }

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/scenario_batch.hpp"
 #include "gen/changelist.hpp"
 #include "gen/logic_block.hpp"
 #include "gen/presets.hpp"
@@ -134,6 +136,17 @@ template <typename T>
   return ::testing::AssertionSuccess();
 }
 
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Bitwise equality of two Aggregates, field by field (padding excluded).
+bool same_aggregates(const core::Aggregates& a, const core::Aggregates& b) {
+  return same_bits(a.tns, b.tns) && a.violations == b.violations &&
+         same_bits(a.worst, b.worst) && a.any == b.any && a.valid == b.valid;
+}
+
 /// Byte-exact equality of two engine-state images, field by field.
 void expect_state_eq(const EngineState& a, const EngineState& b) {
   EXPECT_EQ(a.generation, b.generation);
@@ -174,16 +187,13 @@ void expect_state_eq(const EngineState& a, const EngineState& b) {
   EXPECT_TRUE(same_bytes(a.ep_worst_rf, b.ep_worst_rf, "ep_worst_rf"));
   EXPECT_TRUE(same_bytes(a.ep_base_req, b.ep_base_req, "ep_base_req"));
   EXPECT_TRUE(same_bytes(a.ep_hold_base, b.ep_hold_base, "ep_hold_base"));
-  EXPECT_TRUE(same_bytes(a.tns, b.tns, "tns"));
-  EXPECT_TRUE(same_bytes(a.nviol, b.nviol, "nviol"));
-  EXPECT_TRUE(same_bytes(a.ths, b.ths, "ths"));
-  EXPECT_TRUE(same_bytes(a.nhold_viol, b.nhold_viol, "nhold_viol"));
-  EXPECT_TRUE(same_bytes(a.wns, b.wns, "wns"));
-  EXPECT_TRUE(same_bytes(a.wns_any, b.wns_any, "wns_any"));
-  EXPECT_TRUE(same_bytes(a.wns_valid, b.wns_valid, "wns_valid"));
-  EXPECT_TRUE(same_bytes(a.whs, b.whs, "whs"));
-  EXPECT_TRUE(same_bytes(a.whs_any, b.whs_any, "whs_any"));
-  EXPECT_TRUE(same_bytes(a.whs_valid, b.whs_valid, "whs_valid"));
+  for (std::size_t m = 0; m < 2; ++m) {
+    ASSERT_EQ(a.aggregates[m].size(), b.aggregates[m].size());
+    for (std::size_t c = 0; c < a.aggregates[m].size(); ++c) {
+      EXPECT_TRUE(same_aggregates(a.aggregates[m][c], b.aggregates[m][c]))
+          << "aggregates of mode " << m << ", corner " << c;
+    }
+  }
 }
 
 // ---- base64 ------------------------------------------------------------------
@@ -304,6 +314,20 @@ TEST(Codec, SnapshotRejectsCorruptionTruncationAndWrongKind) {
   rec.generation = 2;
   EXPECT_FALSE(
       replica::decode_snapshot(replica::encode_delta(rec), scratch).empty());
+}
+
+/// Two engines driven through the same commits encode the same frame byte
+/// for byte: no uninitialized padding reaches the payload.
+TEST(Codec, SnapshotFramesAreDeterministic) {
+  Fixture f(43, /*hold=*/true);
+  auto a = f.make_engine(corner_set(2), /*hold=*/true);
+  auto b = f.make_engine(corner_set(2), /*hold=*/true);
+  util::Rng ra(61);
+  util::Rng rb(61);
+  commit_edits(*a, f, ra, 3);
+  commit_edits(*b, f, rb, 3);
+  EXPECT_EQ(replica::encode_snapshot(a->export_state()),
+            replica::encode_snapshot(b->export_state()));
 }
 
 TEST(Codec, DeltaRoundTripsWithCornerTargetsAndOrdering) {
@@ -494,6 +518,18 @@ TEST(EngineState, ImportRejectsMismatchedShapeOrOptions) {
     auto other = g.make_engine(corner_set(1));
     EXPECT_THROW(other->import_state(st), util::CheckError);
   }
+  for (std::size_t mode = 0; mode < 2; ++mode) {
+    // An aggregates block sized for another corner count, after a codec
+    // round trip.
+    EngineState bad = st;
+    bad.aggregates[mode].push_back(core::Aggregates{});
+    EngineState decoded;
+    ASSERT_TRUE(
+        replica::decode_snapshot(replica::encode_snapshot(bad), decoded)
+            .empty());
+    auto other = f.make_engine(corner_set(1));
+    EXPECT_THROW(other->import_state(decoded), util::CheckError);
+  }
 }
 
 TEST(EngineState, ExportRequiresCleanCommittedState) {
@@ -559,6 +595,165 @@ TEST(EngineState, MergedSummaryCacheSurvivesRollbackAndImportCollision) {
   EXPECT_EQ(a->merged_summary(Mode::kSetup),
             b->merged_summary(Mode::kSetup));
   EXPECT_NE(a->merged_summary(Mode::kSetup), stale);
+}
+
+// ---- seeded op sequence: one aggregate state on every path ----------------------
+
+/// Bitwise equality of two summaries.
+bool same_summary(const core::SlackSummary& a, const core::SlackSummary& b) {
+  return same_bits(a.tns, b.tns) && same_bits(a.wns, b.wns) &&
+         a.violations == b.violations;
+}
+
+/// True when some corner of the engine holds a stale worst slack in `mode`.
+bool stale_worst(const core::Engine& e, Mode mode) {
+  const EngineState state = e.export_state();
+  for (const core::Aggregates& a :
+       state.aggregates[static_cast<std::size_t>(mode)]) {
+    if (a.valid == 0) return true;
+  }
+  return false;
+}
+
+/// Deltas that improve the worst endpoint of one (mode, corner): its fanin
+/// arcs become free (setup) or 500 ps slower (hold). Folding that change
+/// leaves the cached worst slack stale.
+std::vector<ArcDelta> improve_worst(const core::Engine& e, Mode mode,
+                                    core::CornerId corner) {
+  const auto& eps = e.graph().endpoints();
+  std::size_t worst = 0;
+  float worst_slack = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < eps.size(); ++i) {
+    const auto ep = static_cast<timing::EndpointId>(i);
+    const float s = mode == Mode::kSetup ? e.endpoint_slack(ep, corner)
+                                         : e.endpoint_hold_slack(ep, corner);
+    if (s < worst_slack) {
+      worst_slack = s;
+      worst = i;
+    }
+  }
+  const double mu = mode == Mode::kSetup ? 0.0 : 500.0;
+  std::vector<ArcDelta> deltas;
+  for (const timing::ArcId arc : e.graph().fanin(eps[worst].pin)) {
+    deltas.push_back({arc, {mu, mu}, {0.0, 0.0}});
+  }
+  return deltas;
+}
+
+/// A seeded sequence of Transaction edits (targeted and broadcast,
+/// committed and rolled back, some aimed at the worst endpoint so the
+/// cached worst slack goes stale), ScenarioBatch evaluations and snapshot
+/// round trips. A twin follows the writer by replaying each commit's
+/// records (and, every few steps, by importing a decoded snapshot); a dense
+/// engine replays the same records through a full pass. After every step:
+/// every ScenarioBatch scenario equals the same edit applied through a
+/// Transaction, bit for bit; engine and twin report byte-equal summaries;
+/// wns and violations equal the dense engine's exactly and tns stays
+/// within the delta folds' 1e-6 relative drift.
+TEST(AggregatesOpSequence, EveryPathAgreesAfterEveryStep) {
+  Fixture f(41, /*hold=*/true);
+  const std::vector<CornerSpec> corners{CornerSpec{"typ", 1.0f, 1.0f},
+                                        CornerSpec{"slow", 1.1f, 1.05f}};
+  auto engine = f.make_engine(corners, /*hold=*/true);
+  auto twin = f.make_engine(corners, /*hold=*/true);
+  auto dense = f.make_engine(corners, /*hold=*/true);
+  core::ScenarioBatch batch(*engine);
+  util::Rng rng(2024);
+  const auto pick_corner = [&rng] {
+    return rng.uniform_int(0, 2) == 2
+               ? core::kAllCorners
+               : static_cast<core::CornerId>(rng.uniform_int(0, 1));
+  };
+  std::array<int, 2> stale_batches{0, 0};
+
+  for (int step = 0; step < 24; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const auto op = rng.uniform_int(0, 4);
+    if (op <= 1 || op == 3) {
+      // Commit one or two annotate() calls, each targeted or broadcast.
+      auto scen = f.make_scenarios(rng, 2);
+      ASSERT_EQ(scen.size(), 2u);
+      if (op == 3) {
+        scen[1] = improve_worst(*engine, step % 2 == 0 ? Mode::kSetup
+                                                       : Mode::kHold,
+                                static_cast<core::CornerId>(step / 2 % 2));
+      }
+      core::Engine::Transaction tx = engine->begin_edit();
+      tx.annotate(scen[0], pick_corner());
+      if (op != 0) tx.annotate(scen[1], pick_corner());
+      engine->run_forward_incremental();
+      tx.commit();
+      for (const core::AppliedDeltas& set : tx.applied()) {
+        twin->annotate(set.deltas, set.corner);
+        dense->annotate(set.deltas, set.corner);
+      }
+      twin->run_forward_incremental();
+      dense->run_forward();
+    } else if (op == 2) {
+      const auto scen = f.make_scenarios(rng, 1);
+      ASSERT_EQ(scen.size(), 1u);
+      core::Engine::Transaction tx = engine->begin_edit();
+      tx.annotate(scen[0], pick_corner());
+      engine->run_forward_incremental();
+      (void)engine->summary(Mode::kSetup, 0);  // settle mid-transaction
+      tx.rollback();
+    } else {
+      const std::string frame =
+          replica::encode_snapshot(engine->export_state());
+      EngineState st;
+      ASSERT_TRUE(replica::decode_snapshot(frame, st).empty());
+      twin->import_state(st);
+      EXPECT_EQ(replica::encode_snapshot(twin->export_state()), frame);
+    }
+
+    // ScenarioBatch vs the same broadcast edit through a Transaction, from
+    // the aggregates the step left (possibly with a stale worst slack).
+    for (const Mode mode : {Mode::kSetup, Mode::kHold}) {
+      if (stale_worst(*engine, mode)) {
+        ++stale_batches[static_cast<std::size_t>(mode)];
+      }
+    }
+    const auto scen = f.make_scenarios(rng, 2);
+    const std::vector<core::ScenarioResult> results = batch.evaluate(scen);
+    ASSERT_EQ(results.size(), scen.size());
+    for (std::size_t i = 0; i < scen.size(); ++i) {
+      core::Engine::Transaction tx = engine->begin_edit();
+      tx.annotate(scen[i]);
+      engine->run_forward_incremental();
+      for (core::CornerId c = 0; c < 2; ++c) {
+        const auto cc = static_cast<std::size_t>(c);
+        EXPECT_TRUE(same_summary(results[i].setup_by_corner[cc],
+                                 engine->summary(Mode::kSetup, c)))
+            << "scenario " << i << " setup, corner " << c;
+        EXPECT_TRUE(same_summary(results[i].hold_by_corner[cc],
+                                 engine->summary(Mode::kHold, c)))
+            << "scenario " << i << " hold, corner " << c;
+      }
+      EXPECT_TRUE(same_summary(results[i].setup,
+                               engine->merged_summary(Mode::kSetup)));
+      EXPECT_TRUE(same_summary(results[i].hold,
+                               engine->merged_summary(Mode::kHold)));
+      tx.rollback();
+    }
+
+    for (const Mode mode : {Mode::kSetup, Mode::kHold}) {
+      EXPECT_TRUE(same_summary(engine->merged_summary(mode),
+                               twin->merged_summary(mode)));
+      for (core::CornerId c = 0; c < 2; ++c) {
+        const core::SlackSummary a = engine->summary(mode, c);
+        EXPECT_TRUE(same_summary(a, twin->summary(mode, c)))
+            << "twin, mode " << static_cast<int>(mode) << ", corner " << c;
+        const core::SlackSummary d = dense->summary(mode, c);
+        EXPECT_EQ(a.wns, d.wns);
+        EXPECT_EQ(a.violations, d.violations);
+        EXPECT_NEAR(a.tns, d.tns, 1e-6 * (1.0 + std::abs(d.tns)));
+      }
+    }
+  }
+  // The sequence must have made ScenarioBatch start from a stale worst
+  // slack in both modes, or its rescan path went untested.
+  EXPECT_GT(stale_batches[0], 0);
+  EXPECT_GT(stale_batches[1], 0);
 }
 
 // ---- engine initialization from a clock-only reference --------------------------

@@ -298,16 +298,6 @@ TEST_P(ScenarioBatchTest, StatsAndOverlayAccounting) {
   EXPECT_EQ(results[0].endpoints_evaluated, st.endpoints_evaluated);
 }
 
-/// summary(Mode) must agree with the single-field accessors.
-TEST_P(ScenarioBatchTest, SummaryMatchesSingleFieldGetters) {
-  core::Engine engine(*sta_, {});
-  engine.run_forward();
-  const SlackSummary s = engine.summary(Mode::kSetup, 0);
-  EXPECT_EQ(s.tns, engine.tns());
-  EXPECT_EQ(s.wns, engine.wns());
-  EXPECT_EQ(s.violations, engine.num_violations());
-}
-
 // ---- Transaction ----------------------------------------------------------
 
 /// rollback() must restore summaries, endpoint slacks, and every Top-K

@@ -886,6 +886,18 @@ TEST_F(ServeTest, CornerSelectionAndProtocolNegotiation) {
     EXPECT_EQ(corners->array[0].string, "typ");
     EXPECT_EQ(corners->array[1].string, "fast");
     EXPECT_EQ(corners->array[2].string, "slow");
+    // corner_scales round-trips every float scale exactly.
+    const telemetry::JsonValue* scales =
+        doc.find("result")->find("corner_scales");
+    ASSERT_NE(scales, nullptr);
+    ASSERT_EQ(scales->array.size(), 3u);
+    for (std::size_t c = 0; c < 3; ++c) {
+      ASSERT_EQ(scales->array[c].array.size(), 2u);
+      EXPECT_EQ(static_cast<float>(scales->array[c].array[0].number),
+                eopt.corners[c].delay_scale);
+      EXPECT_EQ(static_cast<float>(scales->array[c].array[1].number),
+                eopt.corners[c].sigma_scale);
+    }
   }
   {
     // No corner field: the merged cross-corner view.
@@ -985,6 +997,7 @@ TEST_F(ServeTest, CornerSelectionAndProtocolNegotiation) {
     const auto info = parse(dispatcher.dispatch(R"({"id": 11, "op": "info"})"));
     ASSERT_TRUE(info.find("ok")->boolean);
     EXPECT_EQ(info.find("result")->find("corners"), nullptr);
+    EXPECT_EQ(info.find("result")->find("corner_scales"), nullptr);
     EXPECT_EQ(info.find("result")->find("protocol")->number, 1.0);
     // Renegotiating back up restores them.
     const auto info2 = parse(dispatcher.dispatch(
