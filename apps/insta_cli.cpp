@@ -847,7 +847,11 @@ int cmd_serve(const Args& args) {
     ropt.poll_ms = static_cast<int>(args.get_num("poll-ms", 50));
     replicator = std::make_unique<replica::Replicator>(service, ropt);
     // Converge before accepting clients. The writer may still be starting
-    // (CI launches both at once), so retry the bootstrap for a while.
+    // (CI launches both at once), so retry the bootstrap until the
+    // deadline. A writer started together with this replica builds the
+    // same engine and is usually ready within milliseconds of the first
+    // try, so the retry interval is short: a long one mostly adds idle
+    // start-up time.
     const double bootstrap_sec = args.get_num("bootstrap-seconds", 10);
     util::Stopwatch bsw;
     for (;;) {
@@ -858,7 +862,7 @@ int cmd_serve(const Args& args) {
         util::check(bsw.elapsed_sec() < bootstrap_sec,
                     std::string("serve: replica bootstrap failed: ") +
                         e.what());
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
     }
     service.set_replication_info(&replicator->info());

@@ -1,16 +1,16 @@
 // Kernel microbenchmarks (google-benchmark):
-//   * the Top-K merge kernel, scalar vs AVX2 flavor and level-contiguous
-//     SoA vs the pre-refactor interleaved (AoS) layout,
+//   * the Top-K merge kernel, level-contiguous SoA vs the pre-refactor
+//     interleaved (AoS) layout,
 //   * the O(K^2 * L) complexity claim: forward runtime vs Top-K,
-//   * backward-kernel cost: the per-slot candidate gather (scalar vs AVX2)
-//     plus engine-level full and incremental (weight-reuse) backward,
+//   * backward-kernel cost: the per-slot candidate gather plus
+//     engine-level full and incremental (weight-reuse) backward,
 //   * golden full vs incremental update, and INSTA initialization (cloning).
 //
 // Every kernel-level benchmark reports candidates/s (SetItemsProcessed)
 // and plane-read GB/s (SetBytesProcessed; the per-candidate bytes counted
 // are documented at each benchmark). The main() additionally re-times the
 // hot kernels with bench::time_repeated (median of reps) and stamps
-// BENCH_kernels.json so CI can diff the scalar/AVX2 ratio across commits.
+// BENCH_kernels.json so CI can diff kernel throughput across commits.
 
 #include <benchmark/benchmark.h>
 
@@ -22,18 +22,12 @@
 #include "bench_common.hpp"
 #include "core/engine.hpp"
 #include "core/topk.hpp"
-#include "core/topk_simd.hpp"
 #include "gen/changelist.hpp"
 #include "gen/presets.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
 using namespace insta;
-
-bool avx2_available() {
-  return util::simd::compiled_avx2() && util::simd::cpu_has_avx2();
-}
 
 /// One shared medium design for all engine-level benchmarks.
 bench::Bundle& shared_bundle() {
@@ -88,7 +82,7 @@ void BM_TopKInsert_SortedList(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKInsert_SortedList)->Arg(8)->Arg(32)->Arg(128);
 
-// ---- Top-K merge: scalar vs AVX2, SoA vs AoS --------------------------------
+// ---- Top-K merge: SoA vs AoS ------------------------------------------------
 
 /// A synthetic level merge: `parents` source pins with full K-entry Top-K
 /// lists stored level-contiguously in SoA planes (stride = K rounded up to
@@ -169,7 +163,7 @@ struct MergeWorkload {
 /// Runs the production merge kernel over the whole workload: one
 /// destination list per `fanin` consecutive parents, arcs batched exactly
 /// like Engine::merge_pin_values.
-std::uint64_t run_merge_soa(const MergeWorkload& w, bool use_avx2,
+std::uint64_t run_merge_soa(const MergeWorkload& w,
                             const core::TopKView& dst) {
   core::MergeCounters mc;
   constexpr int kChunk = 16;
@@ -183,11 +177,11 @@ std::uint64_t run_merge_soa(const MergeWorkload& w, bool use_avx2,
       batch[n].am = w.am[static_cast<std::size_t>(p)];
       batch[n].as2 = w.as2[static_cast<std::size_t>(p)];
       if (++n == kChunk) {
-        core::merge_arcs(use_avx2, dst, batch, n, 3.0f, false, mc);
+        core::merge_arcs(dst, batch, n, 3.0f, false, mc);
         n = 0;
       }
     }
-    if (n > 0) core::merge_arcs(use_avx2, dst, batch, n, 3.0f, false, mc);
+    if (n > 0) core::merge_arcs(dst, batch, n, 3.0f, false, mc);
   }
   return mc.merges;
 }
@@ -197,11 +191,10 @@ std::uint64_t run_merge_soa(const MergeWorkload& w, bool use_avx2,
 /// is rejected by the full-list threshold pre-filter. This is the steady
 /// state of a saturated pin deep in the timing graph — after the first
 /// arcs fill the list, nearly all remaining candidates die at the
-/// threshold — and it isolates the 8-wide candidate math (mu/sigma
-/// transform + compare) that the SIMD rewrite targets. The survivor
-/// (insert) path is measured separately by the fanin workloads above;
-/// it is serial small-list maintenance and vectorizes poorly.
-std::uint64_t run_merge_saturated(const MergeWorkload& w, bool use_avx2,
+/// threshold — and it isolates the candidate math (mu/sigma transform +
+/// compare). The survivor (insert) path is measured separately by the
+/// fanin workloads above; it is serial small-list maintenance.
+std::uint64_t run_merge_saturated(const MergeWorkload& w,
                                   const core::TopKView& dst) {
   core::MergeCounters mc;
   constexpr int kChunk = 16;
@@ -212,11 +205,11 @@ std::uint64_t run_merge_saturated(const MergeWorkload& w, bool use_avx2,
     batch[n].am = w.am[static_cast<std::size_t>(p)];
     batch[n].as2 = w.as2[static_cast<std::size_t>(p)];
     if (++n == kChunk) {
-      core::merge_arcs(use_avx2, dst, batch, n, 3.0f, false, mc);
+      core::merge_arcs(dst, batch, n, 3.0f, false, mc);
       n = 0;
     }
   }
-  if (n > 0) core::merge_arcs(use_avx2, dst, batch, n, 3.0f, false, mc);
+  if (n > 0) core::merge_arcs(dst, batch, n, 3.0f, false, mc);
   return mc.prunes;
 }
 
@@ -306,74 +299,53 @@ constexpr std::int64_t kMergeBytesPerCand = 8;
 
 void BM_MergeTopK(benchmark::State& state) {
   const auto k = static_cast<std::int32_t>(state.range(0));
-  const bool use_avx2 = state.range(1) != 0;
-  if (use_avx2 && !avx2_available()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
-  }
   // Reconvergent tag pool (2K shared startpoints): the engine's common
   // case, where most candidates resolve in the in-list tag scan.
   const MergeWorkload w(k, 4096, 2 * k);
   DstScratch dst(k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_merge_soa(w, use_avx2, dst.view()));
+    benchmark::DoNotOptimize(run_merge_soa(w, dst.view()));
   }
   state.SetItemsProcessed(state.iterations() * w.candidates());
   state.SetBytesProcessed(state.iterations() * w.candidates() *
                           kMergeBytesPerCand);
-  state.SetLabel(use_avx2 ? "avx2" : "scalar");
 }
-BENCHMARK(BM_MergeTopK)
-    ->ArgsProduct({{4, 8, 16, 32}, {0, 1}})
-    ->ArgNames({"k", "avx2"});
+BENCHMARK(BM_MergeTopK)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->ArgNames({"k"});
 
 void BM_MergeSaturated(benchmark::State& state) {
   const auto k = static_cast<std::int32_t>(state.range(0));
-  const bool use_avx2 = state.range(1) != 0;
-  if (use_avx2 && !avx2_available()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
-  }
   const MergeWorkload w(k, 4096, 2 * k);
   DstScratch dst(k);
   dst.saturate();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_merge_saturated(w, use_avx2, dst.view()));
+    benchmark::DoNotOptimize(run_merge_saturated(w, dst.view()));
   }
   state.SetItemsProcessed(state.iterations() * w.candidates());
   state.SetBytesProcessed(state.iterations() * w.candidates() *
                           kMergeBytesPerCand);
-  state.SetLabel(use_avx2 ? "avx2" : "scalar");
 }
-BENCHMARK(BM_MergeSaturated)
-    ->ArgsProduct({{16, 32}, {0, 1}})
-    ->ArgNames({"k", "avx2"});
+BENCHMARK(BM_MergeSaturated)->Arg(16)->Arg(32)->ArgNames({"k"});
 
 void BM_MergeSoAvsAoS(benchmark::State& state) {
   // layout: 0 = interleaved AoS entries + the seed per-candidate loop,
-  //         1 = SoA planes + scalar batch kernel,
-  //         2 = SoA planes + AVX2 batch kernel.
-  const auto layout = static_cast<int>(state.range(0));
-  if (layout == 2 && !avx2_available()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
-  }
+  //         1 = SoA planes + the batch merge kernel.
+  const bool soa = state.range(0) != 0;
   static const MergeWorkload w(16, 4096, 32);
   static const AosWorkload aos(w);
   DstScratch dst(w.k);
   for (auto _ : state) {
-    if (layout == 0) {
-      benchmark::DoNotOptimize(run_merge_aos(w, aos, dst.view()));
+    if (soa) {
+      benchmark::DoNotOptimize(run_merge_soa(w, dst.view()));
     } else {
-      benchmark::DoNotOptimize(run_merge_soa(w, layout == 2, dst.view()));
+      benchmark::DoNotOptimize(run_merge_aos(w, aos, dst.view()));
     }
   }
   state.SetItemsProcessed(state.iterations() * w.candidates());
   state.SetBytesProcessed(state.iterations() * w.candidates() *
                           kMergeBytesPerCand);
-  state.SetLabel(layout == 0 ? "aos" : (layout == 1 ? "soa" : "soa-avx2"));
+  state.SetLabel(soa ? "soa" : "aos");
 }
-BENCHMARK(BM_MergeSoAvsAoS)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MergeSoAvsAoS)->Arg(0)->Arg(1);
 
 // ---- backward kernel --------------------------------------------------------
 
@@ -403,7 +375,7 @@ struct BackwardWorkload {
       tk_sig[i] = 1.0f + 0.001f * v(rng);
     }
     for (std::int32_t p = 0; p < parents; ++p) {
-      // ~3% empty parents exercise the -inf blend path.
+      // ~3% empty parents exercise the -inf path.
       tk_cnt[static_cast<std::size_t>(p)] = (p % 32 == 0) ? 0 : 4;
     }
     ci.resize(static_cast<std::size_t>(slots));
@@ -417,25 +389,19 @@ struct BackwardWorkload {
 };
 
 void BM_BackwardCand(benchmark::State& state) {
-  const bool use_avx2 = state.range(0) != 0;
-  if (use_avx2 && !avx2_available()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
-  }
   static BackwardWorkload w;
   for (auto _ : state) {
-    core::backward_cand(use_avx2, w.tk_mu.data(), w.tk_sig.data(),
-                        w.tk_cnt.data(), w.ci.data(), w.stride, w.amu.data(),
-                        w.asig.data(), w.slots, 3.0f, w.out.data());
+    core::backward_cand(w.tk_mu.data(), w.tk_sig.data(), w.tk_cnt.data(),
+                        w.ci.data(), w.stride, w.amu.data(), w.asig.data(),
+                        w.slots, 3.0f, w.out.data());
     benchmark::DoNotOptimize(w.out.data());
   }
   state.SetItemsProcessed(state.iterations() * w.slots);
   // Per slot: ci + gathered cnt/mu/sig + amu + asig reads, cand write
   // (7 * 4 B).
   state.SetBytesProcessed(state.iterations() * w.slots * 28);
-  state.SetLabel(use_avx2 ? "avx2" : "scalar");
 }
-BENCHMARK(BM_BackwardCand)->Arg(0)->Arg(1)->ArgNames({"avx2"});
+BENCHMARK(BM_BackwardCand);
 
 void BM_BackwardTns(benchmark::State& state) {
   bench::Bundle& b = shared_bundle();
@@ -650,25 +616,19 @@ BENCHMARK(BM_EngineInitialization)->Unit(benchmark::kMillisecond);
 // ---- BENCH_kernels.json -----------------------------------------------------
 
 /// Median-of-reps timings of the hot kernels, written through BenchReport
-/// so CI archives scalar/AVX2 throughput (and their ratio) per commit.
-/// Returns false when the MCMM bit-identity gate fails (a C-corner engine
-/// must reproduce C independent single-corner engines byte for byte).
+/// so CI archives kernel throughput per commit. Returns false when the
+/// MCMM bit-identity gate fails (a C-corner engine must reproduce C
+/// independent single-corner engines byte for byte).
 bool write_kernel_report() {
   bool ok = true;
   bench::BenchReport report("kernels");
   const int reps = 15;
 
-  const auto add_merge = [&](const std::string& label, const MergeWorkload& w,
-                             const AosWorkload* aos, bool use_avx2) {
-    DstScratch dst(w.k);
-    const auto cands = static_cast<double>(w.candidates());
-    const bench::TimingStats ts = bench::time_repeated(reps, [&] {
-      if (aos != nullptr) {
-        benchmark::DoNotOptimize(run_merge_aos(w, *aos, dst.view()));
-      } else {
-        benchmark::DoNotOptimize(run_merge_soa(w, use_avx2, dst.view()));
-      }
-    });
+  const auto add_merge = [&](const std::string& label, const auto& run,
+                             std::int64_t candidates) {
+    const auto cands = static_cast<double>(candidates);
+    const bench::TimingStats ts = bench::time_repeated(
+        reps, [&] { benchmark::DoNotOptimize(run()); });
     report.add_row(label,
                    {{"median_sec", ts.median_sec},
                     {"min_sec", ts.min_sec},
@@ -682,104 +642,63 @@ bool write_kernel_report() {
   };
 
   // Headline rows: saturated filter throughput — a full list rejecting
-  // every candidate at the threshold, the steady state of deep pins and
-  // the regime the 8-wide candidate math targets. Measured per K on the
-  // production merge_arcs entry point.
+  // every candidate at the threshold, the steady state of deep pins.
+  // Measured per K on the production merge_arcs entry point.
   for (const std::int32_t k : {16, 32}) {
     const MergeWorkload w(k, 4096, 2 * k);
-    DstScratch sat_scalar(k);
-    DstScratch sat_avx2(k);
-    sat_scalar.saturate();
-    sat_avx2.saturate();
-    const std::string tag = "merge_k" + std::to_string(k) + "_saturated";
-    const auto add_sat = [&](const std::string& label, bool use_avx2,
-                             DstScratch& dst) {
-      const auto cands = static_cast<double>(w.candidates());
-      const bench::TimingStats ts = bench::time_repeated(reps, [&] {
-        benchmark::DoNotOptimize(
-            run_merge_saturated(w, use_avx2, dst.view()));
-      });
-      report.add_row(label,
-                     {{"median_sec", ts.median_sec},
-                      {"min_sec", ts.min_sec},
-                      {"mcand_per_sec", cands / ts.median_sec / 1e6},
-                      {"gbytes_per_sec",
-                       cands * static_cast<double>(kMergeBytesPerCand) /
-                           ts.median_sec / 1e9},
-                      {"reps", static_cast<double>(ts.reps)}});
-      return ts.median_sec;
-    };
-    const double scalar_sec = add_sat(tag + "_scalar", false, sat_scalar);
-    if (avx2_available()) {
-      const double avx2_sec = add_sat(tag + "_avx2", true, sat_avx2);
-      report.add_row(tag + "_speedup",
-                     {{"avx2_over_scalar", scalar_sec / avx2_sec}});
-      std::printf(
-          "merge k=%d saturated: scalar %.3f ms, avx2 %.3f ms (%.2fx)\n", k,
-          scalar_sec * 1e3, avx2_sec * 1e3, scalar_sec / avx2_sec);
-    }
+    DstScratch dst(k);
+    dst.saturate();
+    const double sec = add_merge(
+        "merge_k" + std::to_string(k) + "_saturated",
+        [&] { return run_merge_saturated(w, dst.view()); }, w.candidates());
+    std::printf("merge k=%d saturated: %.3f ms\n", k, sec * 1e3);
   }
 
   // Mixed-regime rows: reconvergent tags (pool 2K) at K = 16 and the
   // engine-default K = 32, each at two fanins. fanin = 8 is fill-heavy
   // (the destination list is rebuilt often, so sorted-insert traffic —
-  // serial small-list maintenance paid by both flavors — dominates);
-  // fanin = 32 amortizes the fill over more filtered arcs. A disjoint-tag
-  // variant rides along so the sorted-insert path is also tracked.
+  // serial small-list maintenance — dominates); fanin = 32 amortizes the
+  // fill over more filtered arcs. At fanin = 8 the pre-refactor AoS
+  // layout rides along, and a disjoint-tag variant tracks the
+  // sorted-insert path.
   for (const std::int32_t k : {16, 32}) {
     for (const std::int32_t fanin : {8, 32}) {
       const MergeWorkload w(k, 4096, 2 * k, fanin);
+      DstScratch dst(k);
       const std::string tag =
           "merge_k" + std::to_string(k) + "_f" + std::to_string(fanin);
       if (fanin == 8) {
         const AosWorkload aos(w);
-        add_merge(tag + "_aos", w, &aos, false);
+        add_merge(
+            tag + "_aos", [&] { return run_merge_aos(w, aos, dst.view()); },
+            w.candidates());
       }
-      const double scalar_sec = add_merge(tag + "_scalar", w, nullptr, false);
-      if (avx2_available()) {
-        const double avx2_sec = add_merge(tag + "_avx2", w, nullptr, true);
-        report.add_row(tag + "_speedup",
-                       {{"avx2_over_scalar", scalar_sec / avx2_sec}});
-        std::printf("merge k=%d fanin=%d: scalar %.3f ms, avx2 %.3f ms "
-                    "(%.2fx)\n",
-                    k, fanin, scalar_sec * 1e3, avx2_sec * 1e3,
-                    scalar_sec / avx2_sec);
-      }
+      const double sec = add_merge(
+          tag, [&] { return run_merge_soa(w, dst.view()); }, w.candidates());
+      std::printf("merge k=%d fanin=%d: %.3f ms\n", k, fanin, sec * 1e3);
     }
   }
   {
     const MergeWorkload w(16, 4096, 4096 * 16);
-    const double scalar_sec =
-        add_merge("merge_k16_disjoint_scalar", w, nullptr, false);
-    if (avx2_available()) {
-      const double avx2_sec =
-          add_merge("merge_k16_disjoint_avx2", w, nullptr, true);
-      report.add_row("merge_k16_disjoint_speedup",
-                     {{"avx2_over_scalar", scalar_sec / avx2_sec}});
-    }
+    DstScratch dst(w.k);
+    add_merge(
+        "merge_k16_disjoint", [&] { return run_merge_soa(w, dst.view()); },
+        w.candidates());
   }
 
-  BackwardWorkload bw;
-  const auto add_backward = [&](const std::string& label, bool use_avx2) {
+  {
+    BackwardWorkload bw;
     const bench::TimingStats ts = bench::time_repeated(reps, [&] {
-      core::backward_cand(use_avx2, bw.tk_mu.data(), bw.tk_sig.data(),
-                          bw.tk_cnt.data(), bw.ci.data(), bw.stride,
-                          bw.amu.data(), bw.asig.data(), bw.slots, 3.0f,
-                          bw.out.data());
+      core::backward_cand(bw.tk_mu.data(), bw.tk_sig.data(), bw.tk_cnt.data(),
+                          bw.ci.data(), bw.stride, bw.amu.data(),
+                          bw.asig.data(), bw.slots, 3.0f, bw.out.data());
       benchmark::DoNotOptimize(bw.out.data());
     });
-    report.add_row(label,
+    report.add_row("backward_cand",
                    {{"median_sec", ts.median_sec},
                     {"mslot_per_sec",
                      static_cast<double>(bw.slots) / ts.median_sec / 1e6},
                     {"reps", static_cast<double>(ts.reps)}});
-    return ts.median_sec;
-  };
-  const double bw_scalar = add_backward("backward_cand_scalar", false);
-  if (avx2_available()) {
-    const double bw_avx2 = add_backward("backward_cand_avx2", true);
-    report.add_row("backward_cand_speedup",
-                   {{"avx2_over_scalar", bw_scalar / bw_avx2}});
   }
 
   // MCMM corners axis: one C-corner forward vs C times the C=1 cost. The
@@ -834,12 +753,6 @@ bool write_kernel_report() {
     }
   }
 
-  report.add_row("dispatch",
-                 {{"compiled_avx2", util::simd::compiled_avx2() ? 1.0 : 0.0},
-                  {"cpu_avx2", util::simd::cpu_has_avx2() ? 1.0 : 0.0},
-                  {"resolved_avx2",
-                   util::simd::resolve(util::simd::SimdMode::kAuto) ? 1.0
-                                                                    : 0.0}});
   report.write();
   return ok;
 }

@@ -111,10 +111,6 @@ std::vector<std::string> EngineOptions::validate() const {
   }
   if (parallel_grain < 1) problems.emplace_back("parallel_grain must be >= 1");
   if (endpoint_grain < 1) problems.emplace_back("endpoint_grain must be >= 1");
-  if (!std::isfinite(fast_math_tolerance) || fast_math_tolerance < 0.0f ||
-      fast_math_tolerance >= 1.0f) {
-    problems.emplace_back("fast_math_tolerance must be in [0, 1)");
-  }
   // Corner-consistency checks mirror the analysis::check_corner_setup lint
   // rules; having them here too means no constructor path can accept a
   // corner set the linter would flag.
@@ -160,8 +156,6 @@ Engine::Engine(const ref::GoldenSta& reference, EngineOptions options)
   C_ = corners_.size();
   nsigma_ = static_cast<float>(reference.constraints().nsigma);
   num_pins_ = graph_->design().num_pins();
-  simd_avx2_ = util::simd::resolve(options_.simd);
-  fast_math_ = options_.fast_math_tolerance > 0.0f && simd_avx2_;
 
   clone_structure(reference);
   clone_delays(reference);
@@ -174,10 +168,11 @@ Engine::Engine(const ref::GoldenSta& reference, EngineOptions options)
   recompute_aggregates();
 
   // Level-contiguous SoA layout: pins take plane positions in level order
-  // (unleveled clock-network pins appended after), entries padded to the
-  // 8-lane stride so every run starts on a vector-lane boundary. Corners
-  // are the outermost (major) axis: plane c of every store is
-  // byte-compatible with the whole store of a single-corner engine.
+  // (unleveled clock-network pins appended after), entries padded to a
+  // multiple of 8 (the merge kernel's candidate group) so every run starts
+  // on a 32-byte boundary of the plane. Corners are the outermost (major)
+  // axis: plane c of every store is byte-compatible with the whole store
+  // of a single-corner engine.
   tk_stride_ = (static_cast<std::size_t>(options_.top_k) + 7) & ~std::size_t{7};
   tk_pos_.assign(num_pins_, -1);
   {
@@ -210,7 +205,7 @@ Engine::Engine(const ref::GoldenSta& reference, EngineOptions options)
   slot_grad_.assign(C_ * slots, 0.0f);
   arc_grad_.assign(C_ * graph_->num_arcs(), 0.0f);
   // Backward gather table and candidate scratch (see backward_cand in
-  // topk_simd.hpp). The gather table is structure-only and corner-relative
+  // topk.hpp). The gather table is structure-only and corner-relative
   // (the kernel's base pointers carry the corner offset), so one copy
   // serves every corner; the candidate scratch is per-corner.
   for (const int rf : {0, 1}) {
@@ -1394,13 +1389,7 @@ void Engine::compute_weights_pin(std::size_t p, float tau, CornerId corner) {
     const auto rfi = static_cast<std::size_t>(rf);
     const float* cand = bw_cand_[rfi].data() + soff + fs;
     float* w = w_[rfi].data() + soff + fs;
-    if (fast_math_) {
-      softmax_fast_avx2(cand, n, 1.0f / tau, w);
-      continue;
-    }
-    // Default mode: scalar libm exp and strictly sequential denominator in
-    // slot order — byte-identical weights under both kernel flavors (the
-    // candidates themselves are bit-identical, see topk_simd.hpp). Empty
+    // libm exp and a strictly sequential denominator in slot order. Empty
     // parents carry cand = -inf, so exp contributes exactly +0.0f to the
     // sum and the stored weight, matching a zero-filled skip.
     float m = -kInf;
@@ -1465,7 +1454,7 @@ void Engine::run_backward(GradientMetric metric) {
   {
     INSTA_TRACE_SCOPE("engine.backward.weights");
     if (!reuse) {
-      // Vectorized candidate pass over each corner's whole slot plane, then
+      // One candidate pass over each corner's whole slot plane, then
       // per-pin softmax (each pin owns its fanin slot range; fully
       // parallel). The gather table slot_ci_ is corner-relative; the base
       // pointers carry the corner offsets.
@@ -1473,8 +1462,7 @@ void Engine::run_backward(GradientMetric metric) {
         const std::size_t soff = slot_off(c);
         for (const int rf : {0, 1}) {
           const auto rfi = static_cast<std::size_t>(rf);
-          backward_cand(simd_avx2_, tk_mu_.data() + tk_off(c),
-                        tk_sig_.data() + tk_off(c),
+          backward_cand(tk_mu_.data() + tk_off(c), tk_sig_.data() + tk_off(c),
                         tk_cnt_.data() + cnt_off(c), slot_ci_[rfi].data(),
                         static_cast<std::int32_t>(tk_stride_),
                         amu_[rfi].data() + soff, asig_[rfi].data() + soff,
@@ -1514,7 +1502,7 @@ void Engine::run_backward(GradientMetric metric) {
             if (fs != fe) {
               for (const int rf : {0, 1}) {
                 const auto rfi = static_cast<std::size_t>(rf);
-                backward_cand(simd_avx2_, tk_mu_.data() + tk_off(c),
+                backward_cand(tk_mu_.data() + tk_off(c),
                               tk_sig_.data() + tk_off(c),
                               tk_cnt_.data() + cnt_off(c),
                               slot_ci_[rfi].data() + fs,

@@ -11,12 +11,10 @@
 #include <vector>
 
 #include "core/topk.hpp"
-#include "core/topk_simd.hpp"
 #include "ref/golden_sta.hpp"
 #include "timing/constraints.hpp"
 #include "timing/graph.hpp"
 #include "timing/types.hpp"
-#include "util/simd.hpp"
 
 namespace insta::analysis {
 class LintReport;  // analysis/diagnostics.hpp
@@ -56,20 +54,6 @@ struct EngineOptions {
   float tau = 10.0f;
   /// Soft-min temperature (ps) across endpoints used for WNS gradient seeds.
   float wns_tau = 10.0f;
-  /// Kernel flavor of the merge/backward hot loops. kAuto picks AVX2 when
-  /// compiled in and supported (overridable with INSTA_SIMD=off in the
-  /// environment); kScalar pins the reference flavor; kAvx2 is a hard
-  /// requirement that fails construction when unavailable. Both flavors
-  /// are bit-identical in the default numeric mode.
-  util::simd::SimdMode simd = util::simd::SimdMode::kAuto;
-  /// Documented relative error bound of the fast-math backward softmax
-  /// (vectorized polynomial exp + reassociated LSE denominator). 0 (the
-  /// default) keeps the bit-identity mode: scalar libm exp, sequential
-  /// sums, gradients byte-identical across kernel flavors. A positive
-  /// value enables the fast path (AVX2 builds only) and states the maximum
-  /// relative arc-gradient drift the caller accepts vs the default mode;
-  /// the engine's kernels stay within 1e-3 (see DESIGN.md §14).
-  float fast_math_tolerance = 0.0f;
   /// Level-parallel execution on the global thread pool.
   bool parallel = true;
   /// Minimum number of work items (level pins, frontier pins, endpoints)
@@ -272,8 +256,8 @@ enum class GradientMetric { kTns, kWns };
 ///
 /// MCMM: all value stores are corner-major (corner plane = one single-corner
 /// engine image), so one graph traversal propagates C corners through the
-/// same vectorized kernels. Per-corner queries take a CornerId; merged
-/// (cross-corner worst-case) summaries come from merged_summary().
+/// same kernels. Per-corner queries take a CornerId; merged (cross-corner
+/// worst-case) summaries come from merged_summary().
 ///
 /// Slack metrics: each (corner, mode) keeps one Aggregates value, rebuilt
 /// by every full pass and folded by delta in sparse passes; summary()
@@ -744,7 +728,7 @@ class Engine {
   /// are laid out in level order (tk_pos_ is the pin's position in
   /// level_pins_, with unleveled pins appended after), so the pins of one
   /// level occupy one contiguous run of every plane — the level-contiguous
-  /// SoA layout the vector kernels stream through.
+  /// SoA layout the merge and backward kernels stream through.
   [[nodiscard]] std::size_t cnt_index(netlist::PinId pin, int rf) const {
     return static_cast<std::size_t>(
                tk_pos_[static_cast<std::size_t>(pin)]) *
@@ -752,9 +736,10 @@ class Engine {
            static_cast<std::size_t>(rf);
   }
   /// First slot of a pin/transition's Top-K entries within one corner's
-  /// plane. Entries are padded to tk_stride_ (top_k rounded up to 8) so
-  /// every entry run starts on a vector-lane boundary; the pad slots are
-  /// never read (tail groups are count-mask-loaded).
+  /// plane. Entries are padded to tk_stride_ (top_k rounded up to 8, the
+  /// merge kernel's candidate group) so every entry run starts on a
+  /// 32-byte boundary of the plane; the pad slots are never read (kernels
+  /// stop at the count).
   [[nodiscard]] std::size_t entry_base(netlist::PinId pin, int rf) const {
     return cnt_index(pin, rf) * tk_stride_;
   }
@@ -792,13 +777,6 @@ class Engine {
   /// when the options named none) and its size.
   std::vector<CornerSpec> corners_;
   std::size_t C_ = 1;
-
-  /// Resolved kernel dispatch (util::simd::resolve on options_.simd): true
-  /// selects the AVX2 flavors for every merge/backward kernel call.
-  bool simd_avx2_ = false;
-  /// True when fast_math_tolerance > 0 and the AVX2 flavor is active: the
-  /// backward softmax runs the vectorized-exp path.
-  bool fast_math_ = false;
 
   std::size_t num_pins_ = 0;
   std::size_t num_slots_ = 0;  ///< fanin slots (fi_from_.size())
@@ -853,10 +831,10 @@ class Engine {
   // pin/transition's entries live at [entry_base(pin, rf), +count) with
   // capacity top_k inside a tk_stride_-sized run, runs ordered by tk_pos_
   // (level order) — so a (corner, level) pair's stores are one contiguous
-  // streamable block per plane and the PR 8 kernels run unchanged off a
-  // corner-offset base pointer.
+  // streamable block per plane and the kernels of topk.hpp run unchanged
+  // off a corner-offset base pointer.
   std::vector<std::int32_t> tk_pos_;  // per pin: position in level order
-  std::size_t tk_stride_ = 0;         // top_k rounded up to 8 (lane width)
+  std::size_t tk_stride_ = 0;         // top_k rounded up to 8 (group size)
   std::size_t corner_stride_ = 0;     // num_pins * 2 * tk_stride_
   std::vector<float> tk_arr_;
   std::vector<float> tk_mu_;
@@ -943,10 +921,8 @@ class Engine {
   BackwardStats last_backward_;
 
   /// Recomputes the Eq. 6 weights of one pin (both transitions) in one
-  /// corner from the bw_cand_ scratch, writing w_[rf][slot_off(c)+fs, +fe).
-  /// Default mode: scalar libm exp + sequential denominator (bit-identical
-  /// across kernel flavors); fast_math_ mode: vectorized exp +
-  /// reassociated sums.
+  /// corner from the bw_cand_ scratch, writing w_[rf][slot_off(c)+fs, +fe)
+  /// (libm exp, sequential denominator in slot order).
   void compute_weights_pin(std::size_t p, float tau, CornerId corner);
   /// Marks one pin's weights stale in one corner (no-op unless tracking).
   void mark_weights_stale(netlist::PinId pin, CornerId corner);
@@ -990,10 +966,10 @@ void Engine::merge_pin_values(const Values& vals, netlist::PinId pin, int rf,
   }
 
   // Materialize the fanin candidate lists in chunks, then hand each batch
-  // to the dispatched merge kernel (topk_simd.cpp). The chunk bounds the
-  // stack footprint on high-fanin pins; within a batch the kernel
-  // prefetches the next arc's parent planes (the CSR-indirect reads) while
-  // merging the current one.
+  // to the merge kernel (topk.cpp). The chunk bounds the stack footprint
+  // on high-fanin pins; within a batch the kernel prefetches the next
+  // arc's parent planes (the CSR-indirect reads) while merging the current
+  // one.
   constexpr std::int32_t kChunk = 16;
   MergeArc batch[kChunk];
   MergeCounters mc;
@@ -1009,8 +985,7 @@ void Engine::merge_pin_values(const Values& vals, netlist::PinId pin, int rf,
       batch[j].as2 = as * as;
     }
     fc.arcs += static_cast<std::uint64_t>(n);
-    merge_arcs(simd_avx2_, dst, batch, static_cast<int>(n), nsigma_, kEarly,
-               mc);
+    merge_arcs(dst, batch, static_cast<int>(n), nsigma_, kEarly, mc);
   }
   fc.merges += mc.merges;
   fc.prunes += mc.prunes;

@@ -44,9 +44,7 @@ inline bool topk_equal_const(const TopKView& a, const TopKConstView& b) {
          std::memcmp(a.sp, b.sp, ib) == 0;
 }
 
-/// Algorithm 2 of the paper — the one maintained insert kernel (a
-/// binary-heap variant used to exist for the Section III-E ablation; it
-/// lost that ablation and was removed when the merge loop was vectorized).
+/// Algorithm 2 of the paper.
 /// Inserts a startpoint-tagged arrival into a fixed-size descending list
 /// while keeping startpoints unique.
 ///
@@ -57,11 +55,10 @@ inline bool topk_equal_const(const TopKView& a, const TopKConstView& b) {
 /// win a slack query — keeping only the per-startpoint maximum is what
 /// makes K slots cover K *distinct* credit scenarios (the paper's core
 /// trick). The scan of step 1 preserves the invariant on every insert;
-/// callers (and the vectorized group pre-filter in topk_simd.cpp) may
-/// drop candidates early only when the drop provably cannot violate the
-/// per-startpoint maximum — e.g. a candidate at or below a full list's
-/// minimum kept arrival loses against every entry, including one with its
-/// own tag.
+/// callers (and the group pre-filter of merge_arcs) may drop candidates
+/// early only when the drop provably cannot violate the per-startpoint
+/// maximum — e.g. a candidate at or below a full list's minimum kept
+/// arrival loses against every entry, including one with its own tag.
 ///
 /// Step 1 — if `sp` is already present, update it when the new arrival
 /// is larger (then bubble it up to restore descending order).
@@ -150,5 +147,52 @@ inline void topk_copy(const TopKView& dst, const TopKView& src) {
   std::memcpy(dst.sp, src.sp, ib);
   *dst.count = n;
 }
+
+// ---- forward: batch merge (Algorithm 1) -------------------------------------
+
+/// One fanin arc's contribution to a pin merge: the parent's Top-K
+/// snapshot (live store or scenario overlay) plus the arc's delay
+/// distribution for the output transition being merged.
+struct MergeArc {
+  TopKConstView par;
+  float am = 0.0f;   ///< arc delay mean, ps
+  float as2 = 0.0f;  ///< arc delay variance (sigma^2), ps^2
+};
+
+/// Counters accumulated by merge_arcs; folded into the caller's
+/// ForwardCounters. `prunes` counts candidates rejected either by the
+/// 8-candidate group pre-filter (arrival <= smallest kept entry of a full
+/// list — such a candidate can never change the list, even when its
+/// startpoint is already present) or by topk_insert's own full-list check.
+struct MergeCounters {
+  std::uint64_t merges = 0;
+  std::uint64_t prunes = 0;
+};
+
+/// Merges the candidates of `n` fanin arcs into `dst` in arc order. Each
+/// parent entry becomes a candidate mu = pmu + am, sig = sqrt(psig^2 +
+/// as2), arrival = mu + nsigma*sig (late) or -(mu - nsigma*sig) (early,
+/// the negated min-mode corner). Candidates are prepared in groups of 8
+/// parent entries; a group's threshold (the smallest kept arrival of a
+/// full list) is read once, survivors are inserted in candidate order.
+/// The result is byte-identical to calling topk_insert on every candidate
+/// in order; the grouping only decides which rejections count as
+/// pre-filter prunes.
+void merge_arcs(const TopKView& dst, const MergeArc* arcs, int n,
+                float nsigma, bool early, MergeCounters& mc);
+
+// ---- backward: per-slot softmax candidates ----------------------------------
+
+/// Phase 1 of run_backward scores fanin slots [0, n) with the LSE candidate
+///   out_cand[s] = parent_top1_mu + amu[s] + nsigma * sqrt(parent_top1_sig^2
+///                 + asig[s]^2)
+/// (-inf when the parent's Top-K list is empty). The parent top-1 entries
+/// are read through `ci` (per-slot count index of the parent, i.e.
+/// tk_pos[parent]*2 + prf) from the stride-padded SoA planes: the entry
+/// base of a parent is ci[s] * stride.
+void backward_cand(const float* tk_mu, const float* tk_sig,
+                   const std::int32_t* tk_cnt, const std::int32_t* ci,
+                   std::int32_t stride, const float* amu, const float* asig,
+                   std::int32_t n, float nsigma, float* out_cand);
 
 }  // namespace insta::core

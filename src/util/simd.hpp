@@ -1,60 +1,14 @@
 #pragma once
 
-// Runtime SIMD dispatch shim. The hot kernels (core/topk_simd.hpp) come in
-// a scalar flavor and an AVX2 flavor compiled with a function-level
-// `target("avx2")` attribute, so the binary itself stays runnable on any
-// x86-64 (no global -mavx2). This header decides, once per engine, which
-// flavor to call:
-//
-//   compile gate  — the INSTA_SIMD CMake option (default ON) defines
-//                   INSTA_SIMD_ENABLED; OFF builds carry no AVX2 code at all
-//                   and resolve() always picks scalar.
-//   cpuid probe   — __builtin_cpu_supports("avx2"), cached after first call.
-//   env override  — INSTA_SIMD=off|scalar|0 forces scalar at run time (the
-//                   forced-scalar CI job and A/B perf runs use this);
-//                   INSTA_SIMD=avx2 asserts the vector path and makes
-//                   resolve() throw if it is unavailable, so a mislabelled
-//                   CI runner fails loudly instead of silently benching the
-//                   scalar fallback.
-//   per-engine    — EngineOptions::simd (kAuto by default) can pin one
-//                   engine to either flavor, e.g. the bit-identity property
-//                   tests run a scalar engine and an AVX2 engine side by
-//                   side in the same process.
-
-#include <cstdint>
+// Kept only for perfbench's `kernel_flavor` run-record field, which still
+// asks which Top-K kernel flavor runs. There is one flavor, the scalar
+// kernels of core/topk.cpp, so the answer is always "scalar".
 
 namespace insta::util::simd {
 
-/// Requested kernel flavor. kAuto defers to the environment override and
-/// the cpuid probe; the explicit values pin the choice (kAvx2 is a hard
-/// requirement that fails loudly when unavailable).
-enum class SimdMode : std::uint8_t { kAuto = 0, kScalar = 1, kAvx2 = 2 };
+enum class SimdMode { kAuto };
 
-/// True when this binary contains the AVX2 kernel flavor at all
-/// (INSTA_SIMD=ON at configure time, x86-64 target).
-[[nodiscard]] constexpr bool compiled_avx2() {
-#if defined(INSTA_SIMD_ENABLED) && INSTA_SIMD_ENABLED && defined(__x86_64__)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// cpuid probe, cached after the first call. False on non-x86 builds.
-[[nodiscard]] bool cpu_has_avx2();
-
-/// The INSTA_SIMD environment override, parsed once: "off"/"scalar"/"0" ->
-/// kScalar, "avx2" -> kAvx2, anything else (or unset) -> kAuto.
-[[nodiscard]] SimdMode env_mode();
-
-/// Resolves a requested mode against the compile gate, the cpuid probe and
-/// the environment override; returns true when the AVX2 flavor should run.
-/// kAuto: env override wins, otherwise AVX2 whenever compiled + supported.
-/// kScalar: always false. kAvx2: true, or throws util::CheckError when the
-/// flavor is not compiled in or the CPU lacks it (hard requirement).
-[[nodiscard]] bool resolve(SimdMode requested);
-
-/// Human-readable mode name for logs and bench labels.
-[[nodiscard]] const char* mode_name(SimdMode mode);
+/// True when a vector kernel flavor runs; there is none.
+[[nodiscard]] constexpr bool resolve(SimdMode /*requested*/) { return false; }
 
 }  // namespace insta::util::simd

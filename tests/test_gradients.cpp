@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/engine.hpp"
+#include "gen/changelist.hpp"
 #include "gen/logic_block.hpp"
 #include "gen/presets.hpp"
 #include "gen/tune.hpp"
@@ -19,13 +20,13 @@ struct Fixture {
   timing::ArcDelays delays;
   std::unique_ptr<ref::GoldenSta> sta;
 
-  explicit Fixture(std::uint64_t seed) {
+  explicit Fixture(std::uint64_t seed, double violate_fraction = 0.15) {
     gd = gen::build_logic_block(gen::tiny_spec(seed));
     graph = std::make_unique<timing::TimingGraph>(*gd.design,
                                                   gd.constraints.clock_root);
     calc = std::make_unique<timing::DelayCalculator>(*gd.design, *graph);
     calc->compute_all(delays);
-    gen::tune_clock_period(*graph, gd.constraints, delays, 0.15);
+    gen::tune_clock_period(*graph, gd.constraints, delays, violate_fraction);
     sta = std::make_unique<ref::GoldenSta>(*graph, gd.constraints, delays);
     sta->update_full();
   }
@@ -205,6 +206,41 @@ TEST_P(Gradients, LseTemperatureSpreadsGradient) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Gradients,
                          ::testing::Values(31u, 32u, 33u, 34u, 35u));
+
+/// After an ECO the incremental backward pass reuses clean softmax weights
+/// (BackwardStats says so) and must still produce gradients bitwise equal
+/// to a dense forward + full backward on identical annotations.
+TEST(WeightReuse, IncrementalBackwardReuseMatchesFullRecompute) {
+  Fixture f(31u, 0.1);
+  core::EngineOptions opt;
+  opt.top_k = 8;
+  core::Engine inc(*f.sta, opt);
+  core::Engine full(*f.sta, opt);
+  inc.run_forward();
+  full.run_forward();
+  inc.run_backward(core::GradientMetric::kTns);
+
+  util::Rng rng(7);
+  const auto changes = gen::random_changelist(*f.gd.design, *f.graph, rng, 10);
+  bool saw_reuse = false;
+  for (const auto& ch : changes) {
+    const auto deltas = f.calc->estimate_eco(ch.cell, ch.new_libcell);
+    inc.annotate(deltas);
+    full.annotate(deltas);
+    inc.run_forward_incremental();
+    full.run_forward();
+    inc.run_backward(core::GradientMetric::kTns);
+    saw_reuse = saw_reuse || inc.last_backward_stats().weights_reused;
+    full.run_backward(core::GradientMetric::kTns);
+    const auto ga = inc.arc_gradients();
+    const auto gb = full.arc_gradients();
+    ASSERT_EQ(ga.size(), gb.size());
+    for (std::size_t i = 0; i < ga.size(); ++i) {
+      EXPECT_EQ(ga[i], gb[i]) << "arc " << i;
+    }
+  }
+  EXPECT_TRUE(saw_reuse) << "no incremental backward exercised weight reuse";
+}
 
 }  // namespace
 }  // namespace insta

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <random>
 #include <vector>
 
 #include "core/topk.hpp"
@@ -157,6 +161,137 @@ TEST(TopKOracle, ExactWhenKCoversAllStartpoints) {
     EXPECT_EQ(st.arr[static_cast<std::size_t>(i)],
               oracle.at(st.sp[static_cast<std::size_t>(i)]));
   }
+}
+
+/// merge_arcs against its definition: topk_insert of every candidate of
+/// every arc in order. Parents have ragged counts (empty, partial and full
+/// lists) in stride-padded SoA planes, and overlapping tags across arcs
+/// exercise the in-list update path. The 8-candidate group pre-filter may
+/// only reject candidates topk_insert would leave without effect, so the
+/// lists must come out byte-identical and every candidate must be counted.
+class MergeArcs : public ::testing::TestWithParam<std::int32_t> {};
+
+TEST_P(MergeArcs, MatchesPerCandidateInsert) {
+  const std::int32_t k = GetParam();
+  const std::size_t stride =
+      (static_cast<std::size_t>(k) + 7) & ~std::size_t{7};
+  const float nsigma = 3.0f;
+  std::mt19937 rng(1234u + static_cast<unsigned>(k));
+  std::uniform_real_distribution<float> val(-500.0f, 500.0f);
+  std::uniform_real_distribution<float> dly(1.0f, 40.0f);
+
+  for (int trial = 0; trial < 50; ++trial) {
+    const int num_arcs = 1 + static_cast<int>(rng() % 12);
+    const std::size_t plane = static_cast<std::size_t>(num_arcs) * stride;
+    std::vector<float> parr(plane, 0.0f), pmu(plane, 0.0f), psig(plane, 0.0f);
+    std::vector<std::int32_t> psp(plane, -1);
+    std::vector<core::MergeArc> arcs(static_cast<std::size_t>(num_arcs));
+    for (int a = 0; a < num_arcs; ++a) {
+      const auto cnt = static_cast<std::int32_t>(rng() % (k + 1));
+      std::vector<float> vs(static_cast<std::size_t>(cnt));
+      for (auto& v : vs) v = val(rng);
+      std::sort(vs.begin(), vs.end(), std::greater<>());
+      const std::size_t b = static_cast<std::size_t>(a) * stride;
+      for (std::int32_t j = 0; j < cnt; ++j) {
+        const std::size_t i = b + static_cast<std::size_t>(j);
+        parr[i] = vs[static_cast<std::size_t>(j)];
+        pmu[i] = vs[static_cast<std::size_t>(j)] - 3.0f;
+        psig[i] = 0.5f + 0.1f * dly(rng);
+        psp[i] = static_cast<std::int32_t>(
+            rng() % static_cast<unsigned>(2 * k + 1));
+      }
+      auto& arc = arcs[static_cast<std::size_t>(a)];
+      arc.par = {&parr[b], &pmu[b], &psig[b], &psp[b], cnt};
+      arc.am = dly(rng);
+      const float s = 0.1f * dly(rng);
+      arc.as2 = s * s;
+    }
+
+    for (const bool early : {false, true}) {
+      Store got(k);
+      Store want(k);
+      core::MergeCounters mc;
+      core::merge_arcs(got.view(), arcs.data(), num_arcs, nsigma, early, mc);
+      std::uint64_t candidates = 0;
+      std::uint64_t insert_prunes = 0;
+      for (const auto& arc : arcs) {
+        for (std::int32_t j = 0; j < arc.par.cnt; ++j) {
+          const float mu = arc.par.mu[j] + arc.am;
+          const float psig = arc.par.sig[j];
+          const float sig = std::sqrt(psig * psig + arc.as2);
+          const float arrival =
+              early ? -(mu - nsigma * sig) : (mu + nsigma * sig);
+          insert_prunes += static_cast<std::uint64_t>(
+              core::topk_insert(want.view(), arrival, mu, sig, arc.par.sp[j]));
+          ++candidates;
+        }
+      }
+      ASSERT_EQ(got.count, want.count)
+          << "trial " << trial << " early " << early;
+      const auto fb = static_cast<std::size_t>(got.count) * sizeof(float);
+      const auto ib =
+          static_cast<std::size_t>(got.count) * sizeof(std::int32_t);
+      EXPECT_EQ(std::memcmp(got.arr.data(), want.arr.data(), fb), 0)
+          << "trial " << trial << " early " << early;
+      EXPECT_EQ(std::memcmp(got.mu.data(), want.mu.data(), fb), 0);
+      EXPECT_EQ(std::memcmp(got.sig.data(), want.sig.data(), fb), 0);
+      EXPECT_EQ(std::memcmp(got.sp.data(), want.sp.data(), ib), 0);
+      EXPECT_EQ(mc.merges, candidates);
+      // Every candidate topk_insert prunes is pruned by merge_arcs too, by
+      // the group pre-filter or by the same insert.
+      EXPECT_GE(mc.prunes, insert_prunes);
+      EXPECT_LE(mc.prunes, mc.merges);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KSweep, MergeArcs,
+                         ::testing::Values(1, 2, 4, 8, 13, 16));
+
+/// backward_cand against its formula: parent top-1 gathered through the
+/// count index, -inf for a parent with an empty list.
+TEST(BackwardCand, MatchesFormulaAndMapsEmptyParentsToNegInf) {
+  const std::int32_t stride = 8;
+  const std::int32_t parents = 257;
+  const float nsigma = 3.0f;
+  std::mt19937 rng(99);
+  std::uniform_real_distribution<float> val(-100.0f, 900.0f);
+  std::vector<float> tk_mu(static_cast<std::size_t>(parents * stride));
+  std::vector<float> tk_sig(tk_mu.size());
+  std::vector<std::int32_t> tk_cnt(static_cast<std::size_t>(parents));
+  for (auto& v : tk_mu) v = val(rng);
+  for (auto& v : tk_sig) v = 0.5f + 0.001f * val(rng);
+  for (std::size_t p = 0; p < tk_cnt.size(); ++p) {
+    tk_cnt[p] = (p % 7 == 0) ? 0 : static_cast<std::int32_t>(1 + p % 4);
+  }
+  const std::int32_t slots = 1003;
+  std::vector<std::int32_t> ci(static_cast<std::size_t>(slots));
+  std::vector<float> amu(ci.size()), asig(ci.size());
+  for (auto& c : ci) {
+    c = static_cast<std::int32_t>(rng() % static_cast<unsigned>(parents));
+  }
+  for (auto& x : amu) x = 0.1f * val(rng);
+  for (auto& x : asig) x = 0.001f * std::abs(val(rng));
+  std::vector<float> out(ci.size(), 0.0f);
+  core::backward_cand(tk_mu.data(), tk_sig.data(), tk_cnt.data(), ci.data(),
+                      stride, amu.data(), asig.data(), slots, nsigma,
+                      out.data());
+  int empty = 0;
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    const auto c = static_cast<std::size_t>(ci[s]);
+    if (tk_cnt[c] == 0) {
+      ++empty;
+      EXPECT_EQ(out[s], -std::numeric_limits<float>::infinity())
+          << "slot " << s;
+      continue;
+    }
+    const std::size_t b = c * static_cast<std::size_t>(stride);
+    const float want =
+        tk_mu[b] + amu[s] +
+        nsigma * std::sqrt(tk_sig[b] * tk_sig[b] + asig[s] * asig[s]);
+    EXPECT_EQ(out[s], want) << "slot " << s;
+  }
+  EXPECT_GT(empty, 0);
 }
 
 }  // namespace
